@@ -6,8 +6,8 @@ layer extends that axis set from endpoint knobs to *wire structure*: the
 BT benchmark is generated once on the ARC Ethernet protocol stack, then
 replayed on a flat crossbar, a 3D torus, and a fat-tree — and, on the
 torus, under several rank→node placement policies — without re-tracing
-anything (topology and placement are execution-only config fields, so
-every point shares the cached trace/emit artifacts).
+anything (topology and placement are execution-only scenario
+dimensions, so every point shares the cached trace/emit artifacts).
 
 Recorded invariants, asserted here and by CI:
 
@@ -61,24 +61,30 @@ QUICK_PLACEMENTS = ["block", f"random:{SEED}"]
 
 
 def topology_plan(nranks, scales, topologies) -> SweepPlan:
-    """compute_scale x topology grid on one generated BT spec."""
+    """compute_scale x topology grid on one generated BT spec (each
+    routed fabric an inline scenario; null is the flat network)."""
+    scenarios = [None if t is None else {"name": t, "topology": t}
+                 for t in topologies]
     return SweepPlan(
         name="topology-whatif",
         base={"app": APP, "nranks": nranks, "cls": CLS,
               "platform": PLATFORM},
         axes=[{"field": "compute_scale", "values": scales},
-              {"field": "topology", "values": topologies}])
+              {"field": "scenario", "values": scenarios}])
 
 
 def placement_plan(nranks, placements) -> SweepPlan:
     """Placement axis on a torus with two ranks per node (so policy
     choices actually move neighbours across the fabric)."""
+    nodes = max(nranks // 2, 1)
     return SweepPlan(
         name="topology-placement",
         base={"app": APP, "nranks": nranks, "cls": CLS,
-              "platform": PLATFORM, "topology": "torus3d",
-              "topology_params": {"nodes": max(nranks // 2, 1)}},
-        axes=[{"field": "placement", "values": placements}])
+              "platform": PLATFORM},
+        axes=[{"field": "scenario",
+               "values": [{"name": f"torus3d-{p}", "topology": "torus3d",
+                           "topology_params": {"nodes": nodes},
+                           "placement": p} for p in placements]}])
 
 
 def sweep(plan: SweepPlan, cache_dir: str):
@@ -108,11 +114,11 @@ def run_grids(nranks, scales, topologies, placements) -> dict:
 
     grid: dict = {}
     for p in topo.points:
-        fabric = p.params["topology"] or "flat"
+        fabric = (p.params["scenario"] or {}).get("topology") or "flat"
         grid.setdefault(f"{p.params['compute_scale']:g}", {})[fabric] = \
             p.metrics["makespan_s"]
-    placements_row = {p.params["placement"]: p.metrics["makespan_s"]
-                      for p in place.points}
+    placements_row = {p.params["scenario"]["placement"]:
+                      p.metrics["makespan_s"] for p in place.points}
     return {"grid": grid, "placements": placements_row,
             "topology_digest": topo.plan.digest(),
             "placement_digest": place.plan.digest()}

@@ -66,24 +66,6 @@ def _add_topology(parser):
                              "'dims=[2,2,2]'")
 
 
-def _topology_kwargs(args) -> dict:
-    """PipelineConfig keyword args for the ``--topology`` flag family."""
-    params = {}
-    for item in getattr(args, "topology_params", None) or []:
-        key, sep, value = item.partition("=")
-        if not sep or not key:
-            raise SystemExit(
-                f"error: --topology-param needs KEY=VALUE, got {item!r}")
-        try:
-            params[key] = json.loads(value)
-        except ValueError:
-            params[key] = value
-    out = {"topology": args.topology, "placement": args.placement}
-    if params:
-        out["topology_params"] = params
-    return out
-
-
 def _add_schedule(parser):
     from repro.sim.policy import POLICIES
     parser.add_argument("--schedule-policy", choices=POLICIES,
@@ -128,34 +110,47 @@ def _add_queueing(parser):
                              "target=1e-6, interval=1e-5, penalty=5e-5")
 
 
-def _queueing_kwargs(args) -> dict:
-    """PipelineConfig keyword args for the ``--queue-*`` flag family.
-
-    FIFO (the default) returns an empty mapping so pre-queueing call
-    sites stay byte-identical; knobs without a non-fifo discipline are
-    an argv error, caught here rather than deep inside a run.
-    """
-    discipline = getattr(args, "queue_discipline", "fifo")
+def _kv_params(flag: str, items):
+    """A ``{key: value}`` mapping from repeated ``KEY=VALUE`` flags
+    (values parse as JSON when they can), or None when none were given."""
     params = {}
-    for item in getattr(args, "queue_params", None) or []:
+    for item in items or ():
         key, sep, value = item.partition("=")
         if not sep or not key:
-            raise SystemExit(
-                f"error: --queue-param needs KEY=VALUE, got {item!r}")
+            raise SystemExit(f"error: {flag} needs KEY=VALUE, got {item!r}")
         try:
             params[key] = json.loads(value)
         except ValueError:
             params[key] = value
-    if discipline in (None, "fifo"):
-        if params:
-            raise SystemExit(
-                "error: --queue-param requires a non-fifo "
-                "--queue-discipline")
-        return {}
-    out = {"queue_discipline": discipline}
-    if params:
-        out["queue_params"] = params
-    return out
+    return params or None
+
+
+def _execution_scenario(args):
+    """The scenario a run executes under: ``--scenario`` (when the
+    command has it) composed with the topology and queue flags.
+
+    The flag defaults (``--placement block``, ``--queue-discipline
+    fifo``) count as unset, so they never conflict with a scenario's
+    pins.  A conflicting or invalid combination is an argv error
+    (exit status 2).
+    """
+    from repro.errors import ScenarioError
+    from repro.scenarios import compose_scenario
+    ref = getattr(args, "scenario", None)
+    try:
+        return compose_scenario(
+            _scenario_ref(ref) if ref else None,
+            topology=args.topology,
+            topology_params=_kv_params("--topology-param",
+                                       args.topology_params),
+            placement=None if args.placement == "block"
+            else args.placement,
+            queue_discipline=None if args.queue_discipline == "fifo"
+            else args.queue_discipline,
+            queue_params=_kv_params("--queue-param", args.queue_params))
+    except ScenarioError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        raise SystemExit(2) from None
 
 
 def _scenario_ref(value: str):
@@ -259,8 +254,7 @@ def cmd_run(args):
     with open(args.program) as fh:
         source = fh.read()
     config = PipelineConfig(nranks=args.np, platform=args.platform,
-                            **_topology_kwargs(args),
-                            **_queueing_kwargs(args),
+                            scenario=_execution_scenario(args),
                             **_schedule_kwargs(args))
     hook = MpiPHook()
     ctx = RunContext(config, hooks=[hook])
@@ -281,8 +275,7 @@ def cmd_replay(args):
     trace = load_trace(args.trace)
     config = PipelineConfig(nranks=trace.world_size,
                             platform=args.platform,
-                            **_topology_kwargs(args),
-                            **_queueing_kwargs(args),
+                            scenario=_execution_scenario(args),
                             **_schedule_kwargs(args))
     ctx = RunContext(config)
     ctx.artifacts["trace"] = trace
@@ -308,10 +301,7 @@ def cmd_pipeline(args):
                             fault_plan=plan,
                             stage_retries=args.stage_retries,
                             profile=args.profile,
-                            scenario=(_scenario_ref(args.scenario)
-                                      if args.scenario else None),
-                            **_topology_kwargs(args),
-                            **_queueing_kwargs(args),
+                            scenario=_execution_scenario(args),
                             **_schedule_kwargs(args))
     from repro.errors import SimDeadlockError
     with _metrics(args) as inst:

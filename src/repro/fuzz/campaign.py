@@ -72,7 +72,7 @@ class FuzzCell:
     """One expanded (application cell x topology x scenario) space."""
 
     index: int                     #: position in expansion order
-    overrides: Dict[str, Any]      #: base + cell fields (+ topology...)
+    overrides: Dict[str, Any]      #: base + cell fields (+ scenario)
     topology: Optional[str]        #: routed fabric, None = flat
     scenario: Optional[str] = None  #: scenario label, None = unscoped
 
@@ -237,18 +237,29 @@ class FuzzCampaign:
     def cells(self) -> List[FuzzCell]:
         """The (app cell x topology x scenario) schedule spaces, in
         expansion order."""
+        from repro.errors import ScenarioError
+        from repro.scenarios import compose_scenario
         out: List[FuzzCell] = []
         for cell in self.apps:
             for topo in self.topologies:
                 for scn in self.scenarios:
                     overrides = {**self.base, **cell}
-                    if topo is not None:
-                        overrides["topology"] = topo
                     label = None
                     if scn is not None:
-                        overrides["scenario"] = scn
                         label = (scn if isinstance(scn, str)
                                  else scn.get("name", "inline"))
+                    if topo is not None:
+                        # the topology axis composes into the scenario
+                        # exactly as the --topology flag does
+                        try:
+                            scn = compose_scenario(
+                                scn, topology=topo).to_dict()
+                        except ScenarioError as exc:
+                            raise FuzzCampaignError(
+                                f"topology {topo!r} x scenario "
+                                f"{label!r}: {exc}") from None
+                    if scn is not None:
+                        overrides["scenario"] = scn
                     out.append(FuzzCell(len(out), overrides, topo, label))
         return out
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass, fields
-from typing import Any, Dict, Mapping, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.errors import PipelineConfigError
 from repro.faults.plan import FaultPlan
@@ -25,22 +25,13 @@ from repro.faults.plan import FaultPlan
 _CLASSES = ("S", "W", "A", "B", "C")
 
 #: the execution-only fields: they change how the generated benchmark
-#: *executes* without touching the trace/emit artifacts, so none of
-#: them may appear in the trace/emit rolling cache key (the §5.4
-#: what-if economy).  The contract test in
-#: ``tests/pipeline/test_execution_only.py`` enforces this list
-#: field-by-field against the stage key parts.
-EXECUTION_ONLY_FIELDS = (
-    "compute_scale",
-    "run_platform",
-    "run_platform_params",
-    "topology",
-    "topology_params",
-    "placement",
-    "scenario",
-    "queue_discipline",
-    "queue_params",
-)
+#: *executes* without touching the trace/emit artifacts, so neither may
+#: appear in the trace/emit rolling cache key (the §5.4 what-if
+#: economy).  Every execution dimension (run platform, topology,
+#: placement, queue discipline) lives on the scenario.  The contract
+#: test in ``tests/pipeline/test_execution_only.py`` enforces this
+#: against the stage key parts, one case per dimension.
+EXECUTION_ONLY_FIELDS = ("compute_scale", "scenario")
 
 
 @dataclass(frozen=True)
@@ -72,34 +63,15 @@ class PipelineConfig:
     #: executed* without touching the trace/emit artifacts, so a sweep
     #: over them shares the expensive cached artifacts across points.
     compute_scale: float = 1.0         #: scale COMPUTE stmts at run time
-    run_platform: Optional[str] = None  #: execution platform (default:
-    #:                                     same preset as ``platform``)
-    run_platform_params: Optional[Tuple[Tuple[str, Any], ...]] = None
-    #: keyword overrides for the execution-stage network model (a
-    #: mapping is accepted and normalized to a sorted tuple of pairs)
-    topology: Optional[str] = None     #: routed-fabric topology for the
-    #:                                    execution stage (None = flat)
-    topology_params: Optional[Tuple[Tuple[str, Any], ...]] = None
-    #: topology/fabric keyword overrides (``dims``, ``arity``, ``nodes``,
-    #: ``hop_latency``, ``link_bandwidth``); normalized like
-    #: ``run_platform_params``
-    placement: str = "block"           #: rank→node placement spec
-    #:                                    ("block", "roundrobin",
-    #:                                    "random[:seed]", "map:<file>")
     scenario: Optional[Any] = None     #: execution scenario: a curated
     #:                                    registry name, an inline spec
     #:                                    mapping, or a Scenario object
     #:                                    (normalized to the latter).
-    #:                                    Expands into the execution-only
-    #:                                    dimensions; its fault content
-    #:                                    and schedule pin apply only at
-    #:                                    the run/replay stages.
-    queue_discipline: str = "fifo"     #: per-link queue discipline for
-    #:                                    routed execution fabrics
-    #:                                    (repro.sim.queueing)
-    queue_params: Optional[Tuple[Tuple[str, Any], ...]] = None
-    #: queue-discipline knobs (codel target/interval/penalty);
-    #: normalized like the other params fields
+    #:                                    The only carrier of the run
+    #:                                    platform, topology, placement
+    #:                                    and queue discipline; its fault
+    #:                                    content and schedule pin apply
+    #:                                    only at the run/replay stages.
     schedule_policy: str = "canonical"  #: engine tie-break policy for
     #:                                     every simulated run in the
     #:                                     pipeline (repro.sim.policy)
@@ -116,12 +88,8 @@ class PipelineConfig:
     def __post_init__(self):
         from repro.apps import APPS
         from repro.sim.network import PLATFORMS
-        # normalize the params fields first so scenario expansion can
-        # compare values in canonical (sorted-pair-tuple) form
-        self._normalize_params("run_platform_params")
-        self._normalize_params("topology_params")
-        self._normalize_params("queue_params")
-        self._expand_scenario()
+        if self.scenario is not None:
+            self._resolve_scenario()
         if self.app is not None and self.app.lower() not in APPS:
             raise PipelineConfigError(
                 f"unknown application {self.app!r}; choose from "
@@ -157,45 +125,6 @@ class PipelineConfig:
         if self.compute_scale < 0:
             raise PipelineConfigError(
                 f"compute_scale must be >= 0, got {self.compute_scale}")
-        if self.run_platform is not None and \
-                self.run_platform not in PLATFORMS:
-            raise PipelineConfigError(
-                f"unknown run_platform {self.run_platform!r}; choose "
-                f"from {sorted(PLATFORMS)}")
-        if self.run_platform_params is not None:
-            # satellite guard: a typoed or preset-incompatible parameter
-            # (e.g. eager_threshold on SimpleModel) fails here — at
-            # `repro sweep validate` time — not mid-fan-out in a worker
-            preset = self.run_platform or self.platform
-            if preset is not None:
-                from repro.sim.network import validate_platform_params
-                try:
-                    validate_platform_params(
-                        preset, [k for k, _ in self.run_platform_params])
-                except ValueError as exc:
-                    raise PipelineConfigError(
-                        f"bad run_platform_params: {exc}") from None
-        if self.topology is not None:
-            from repro.topology import TOPOLOGIES
-            if self.topology not in TOPOLOGIES:
-                raise PipelineConfigError(
-                    f"unknown topology {self.topology!r}; choose from "
-                    f"{sorted(TOPOLOGIES)}")
-        if self.topology_params is not None:
-            if self.topology is None:
-                raise PipelineConfigError(
-                    "topology_params given without a topology")
-            from repro.topology import validate_topology_params
-            try:
-                validate_topology_params(
-                    self.topology, [k for k, _ in self.topology_params])
-            except ValueError as exc:
-                raise PipelineConfigError(
-                    f"bad topology_params: {exc}") from None
-        if not isinstance(self.placement, str) or not self.placement:
-            raise PipelineConfigError(
-                f"placement must be a non-empty spec string, got "
-                f"{self.placement!r}")
         from repro.sim.policy import resolve_policy
         try:
             # construction-time validation only; each simulated stage
@@ -203,39 +132,16 @@ class PipelineConfig:
             resolve_policy(self.schedule_policy, self.schedule_seed)
         except ValueError as exc:
             raise PipelineConfigError(str(exc)) from None
-        if self.placement != "block":
-            from repro.topology import parse_placement_spec
-            try:
-                parse_placement_spec(self.placement)
-            except ValueError as exc:
-                raise PipelineConfigError(f"bad placement: {exc}") \
-                    from None
-        from repro.sim.queueing import resolve_queue_discipline
-        try:
-            resolve_queue_discipline(
-                self.queue_discipline, dict(self.queue_params or ()))
-        except ValueError as exc:
-            raise PipelineConfigError(str(exc)) from None
-        if self.queue_discipline not in (None, "fifo") \
-                and self.topology is None:
-            raise PipelineConfigError(
-                f"queue_discipline {self.queue_discipline!r} needs a "
-                f"routed execution fabric; set a topology")
 
-    def _expand_scenario(self) -> None:
-        """Resolve ``scenario`` to a :class:`Scenario` and adopt its
-        execution dimensions.
+    def _resolve_scenario(self) -> None:
+        """Resolve ``scenario`` to a validated :class:`Scenario`.
 
-        A dimension the scenario sets is adopted when the config still
-        carries the field default; an explicit conflicting value is an
-        error (scenarios compose with, never silently override, direct
-        settings).  The scenario's fault content and schedule pin are
-        *not* expanded into config fields — they apply only at the
-        run/replay stages (see ``repro.pipeline.stages``), which keeps
-        the canonical trace and its cache key scenario-independent.
+        Its fault content and schedule pin apply only at the run/replay
+        stages (see ``repro.pipeline.stages``), which keeps the
+        canonical trace and its cache key scenario-independent; a
+        config that also sets ``fault_plan`` or a schedule policy is
+        ambiguous and rejected.
         """
-        if self.scenario is None:
-            return
         from repro.errors import ScenarioError
         from repro.scenarios import get_scenario
         try:
@@ -254,43 +160,6 @@ class PipelineConfig:
                 f"scenario {scn.name!r} pins the schedule policy and "
                 f"the config sets schedule_policy/schedule_seed; use "
                 f"one or the other")
-        defaults = {f.name: f.default for f in fields(type(self))}
-        for name, value in scn.dimensions().items():
-            current = getattr(self, name)
-            if current == defaults[name]:
-                object.__setattr__(self, name, value)
-                if name.endswith("_params"):
-                    self._normalize_params(name)
-            elif current != value:
-                raise PipelineConfigError(
-                    f"scenario {scn.name!r} sets {name}={value!r} but "
-                    f"the config already has {name}={current!r}")
-
-    def _normalize_params(self, field_name: str) -> None:
-        """Normalize a params field (mapping or pair sequence) to a
-        sorted tuple of ``(name, value)`` pairs, in place."""
-        params = getattr(self, field_name)
-        if params is None:
-            return
-        if isinstance(params, Mapping):
-            items = list(params.items())
-        else:
-            try:
-                items = [(k, v) for k, v in params]
-            except (TypeError, ValueError):
-                raise PipelineConfigError(
-                    f"{field_name} must be a mapping or a sequence of "
-                    f"(name, value) pairs, got {params!r}") from None
-        norm = []
-        for k, v in items:
-            if not isinstance(k, str) or not k:
-                raise PipelineConfigError(
-                    f"{field_name} keys must be non-empty strings, "
-                    f"got {k!r}")
-            norm.append((k, v))
-        object.__setattr__(
-            self, field_name,
-            tuple(sorted(norm, key=lambda kv: kv[0])) or None)
 
     def fingerprint(self) -> Dict[str, Any]:
         """Stable mapping of the fields that determine artifact content

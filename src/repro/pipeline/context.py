@@ -90,49 +90,46 @@ class RunContext:
     def run_model(self):
         """The network model the *execution* stages run under.
 
-        Identical to :attr:`model` unless the config carries a
-        ``run_platform`` / ``run_platform_params`` what-if override —
-        the paper's §5.4 methodology of re-running one generated
-        specification on a changed platform.  Trace and generation
-        stages never see this model, so their cached artifacts are
-        shared across a platform-parameter sweep.
+        Identical to :attr:`model` unless the config's scenario pins a
+        run platform or a routed topology — the paper's §5.4
+        methodology of re-running one generated specification on a
+        changed platform.  Trace and generation stages never see this
+        model, so their cached artifacts are shared across a
+        platform-parameter sweep.
         """
         c = self.config
-        if c.run_platform is None and c.run_platform_params is None:
+        scn = c.scenario
+        if scn is None or scn.run_platform is None:
             base = self.model
         else:
             from repro.sim.network import make_model
-            preset = c.run_platform or c.platform
-            if preset is None:
-                raise PipelineError(
-                    "run_platform_params given but neither run_platform "
-                    "nor platform names a preset to parameterize")
             try:
-                base = make_model(preset,
-                                  **dict(c.run_platform_params or ()))
+                base = make_model(scn.run_platform,
+                                  **dict(scn.run_platform_params or ()))
             except (TypeError, ValueError) as exc:
                 raise PipelineError(
-                    f"bad run_platform_params for platform {preset!r}: "
-                    f"{exc}") from None
-        if c.topology is None:
+                    f"bad run_platform_params for platform "
+                    f"{scn.run_platform!r}: {exc}") from None
+        if scn is None or scn.topology is None:
             return base
         if c.nranks is None:
             raise PipelineError(
                 "config.nranks is required to place ranks on a "
-                f"{c.topology!r} topology")
+                f"{scn.topology!r} topology")
         if base is None:
             from repro.sim.network import LogGPModel
             base = LogGPModel()
         from repro.topology import make_topology_model
+        placement = scn.placement or "block"
         try:
             return make_topology_model(
-                base, c.topology, c.nranks,
-                topology_params=dict(c.topology_params or ()),
-                placement=c.placement)
+                base, scn.topology, c.nranks,
+                topology_params=dict(scn.topology_params or ()),
+                placement=placement)
         except ValueError as exc:
             raise PipelineError(
-                f"bad topology configuration ({c.topology!r}, placement "
-                f"{c.placement!r}): {exc}") from None
+                f"bad topology configuration ({scn.topology!r}, "
+                f"placement {placement!r}): {exc}") from None
 
     # -- bookkeeping -------------------------------------------------------
     def record(self, stage: str, seconds: float, cache: str,

@@ -137,7 +137,8 @@ class Pipeline:
         attempts = 1 + ctx.config.stage_retries
         for attempt in range(attempts):
             try:
-                with obs.span(f"pipeline.{stage.name}", attempt=attempt):
+                with obs.span(f"pipeline.stage.{stage.name}",
+                              attempt=attempt):
                     return stage.run(ctx)
             except ReproError as exc:
                 if attempt + 1 >= attempts:

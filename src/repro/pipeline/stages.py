@@ -92,18 +92,18 @@ def _schedule_kwargs(ctx: RunContext, execution: bool = False) -> dict:
 
 
 def _queue_kwargs(ctx: RunContext) -> dict:
-    """``run_spmd`` keyword arguments for the config's queue discipline.
+    """``run_spmd`` keyword arguments for the scenario's queue discipline.
 
     Empty for the FIFO default (the call sites — and the engine's inline
     fold — stay byte-identical to the pre-queueing code path); only the
     execution stages call this, because queue disciplines act on the
     routed execution fabric.
     """
-    c = ctx.config
-    if c.queue_discipline in (None, "fifo"):
+    scn = ctx.config.scenario
+    if scn is None or scn.queue_discipline in (None, "fifo"):
         return {}
-    return {"queue_discipline": c.queue_discipline,
-            "queue_params": dict(c.queue_params or ())}
+    return {"queue_discipline": scn.queue_discipline,
+            "queue_params": dict(scn.queue_params or ())}
 
 
 class Stage:

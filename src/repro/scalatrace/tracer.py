@@ -163,7 +163,7 @@ class ScalaTraceHook(MPIHook):
         obs.count("scalatrace.events_in", self.events_in)
         obs.count("scalatrace.nodes_live_peak", self.nodes_live_peak)
         self._acc.world_size = world_size
-        with obs.span("scalatrace.merge", traces=world_size):
+        with obs.span("scalatrace.finalize", traces=world_size):
             trace = self._acc.result()
         if comm_table is not None:
             trace.comm_table = dict(comm_table)

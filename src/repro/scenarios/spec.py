@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ScenarioError
@@ -70,6 +70,14 @@ def _params_tuple(where: str, params) -> Optional[Tuple[Tuple[str, Any],
 def _params_data(params: Optional[Tuple[Tuple[str, Any], ...]]):
     """Tuple-of-pairs back to the plain dict used in serialized form."""
     return dict(params) if params else None
+
+
+#: the execution dimensions a scenario pins (the rest of a scenario is
+#: fault content and the schedule pin); :func:`compose_scenario` merges
+#: exactly these
+DIMENSIONS = ("run_platform", "run_platform_params", "topology",
+              "topology_params", "placement", "queue_discipline",
+              "queue_params")
 
 
 @dataclass(frozen=True)
@@ -192,6 +200,10 @@ class Scenario:
         elif self.topology_params is not None:
             raise ScenarioError("topology_params given without a topology")
         if self.placement is not None:
+            if self.topology is None:
+                raise ScenarioError(
+                    "placement given without a topology (placement only "
+                    "acts on a routed fabric)")
             from repro.topology import parse_placement_spec
             try:
                 parse_placement_spec(self.placement)
@@ -247,22 +259,15 @@ class Scenario:
         return self.schedule_policy is not None
 
     def dimensions(self) -> Dict[str, Any]:
-        """The :class:`~repro.pipeline.config.PipelineConfig` fields this
-        scenario pins, as a ``{field: value}`` mapping.
+        """The :data:`DIMENSIONS` this scenario pins, as a
+        ``{name: value}`` mapping.
 
-        Only the *expanded* dimensions appear here — the fields a config
-        adopts directly.  Fault content and the schedule policy are
-        deliberately absent: they are applied by the execution stages
-        (never the trace stage), not folded into config fields.
+        Fault content and the schedule pin are deliberately absent:
+        they are not execution-environment dimensions, and
+        :func:`compose_scenario` never merges them.
         """
-        out: Dict[str, Any] = {}
-        for f in ("run_platform", "run_platform_params", "topology",
-                  "topology_params", "placement", "queue_discipline",
-                  "queue_params"):
-            value = getattr(self, f)
-            if value is not None:
-                out[f] = value
-        return out
+        return {f: getattr(self, f) for f in DIMENSIONS
+                if getattr(self, f) is not None}
 
     # -- serialization -------------------------------------------------------
     def to_dict(self) -> Dict[str, Any]:
@@ -352,6 +357,40 @@ class Scenario:
         if not bits:
             bits.append("baseline (pins nothing, injects nothing)")
         return "; ".join(bits)
+
+
+def compose_scenario(scenario=None, **dims) -> Optional[Scenario]:
+    """Compose execution dimensions into a scenario.
+
+    ``scenario`` is a curated name, an inline spec mapping, a
+    :class:`Scenario`, or None; ``dims`` are :data:`DIMENSIONS` values,
+    where None means unset.  Each set dimension is adopted when the
+    scenario leaves it unset, passes when the scenario pins the same
+    value, and is a :class:`ScenarioError` when the scenario pins a
+    different one.  The result keeps the scenario's name (``inline``
+    when there is no scenario) and is validated like any other
+    scenario; None when there is neither a scenario nor a dimension.
+
+    This is the one rule behind the ``--topology``/``--placement``/
+    ``--queue-*`` flags and the fuzz campaign's ``topologies`` axis.
+    """
+    dims = {k: _params_tuple(k, v) if k.endswith("_params") else v
+            for k, v in dims.items()}
+    dims = {k: v for k, v in dims.items() if v is not None}
+    if scenario is None:
+        return Scenario(name="inline", **dims) if dims else None
+    from repro.scenarios.registry import get_scenario
+    base = get_scenario(scenario)
+    adopt = {}
+    for key, value in dims.items():
+        current = getattr(base, key)
+        if current is None:
+            adopt[key] = value
+        elif current != value:
+            raise ScenarioError(
+                f"scenario {base.name!r} sets {key}={current!r}, which "
+                f"conflicts with {key}={value!r}")
+    return replace(base, **adopt) if adopt else base
 
 
 #: commented example written by ``repro scenarios template``

@@ -13,8 +13,7 @@ A plan has three parts:
   every point (the application, rank count, problem class, platform);
 * ``axes`` — an ordered list of ``{field, values}`` entries whose
   cartesian product generates the grid (``compute_scale``,
-  ``run_platform_params``, ``nranks``, ``fault_plan``, ... — any config
-  field);
+  ``scenario``, ``nranks``, ``fault_plan``, ... — any config field);
 * ``points`` — explicit extra points appended after the grid, for
   one-off configurations the product cannot express.
 
@@ -61,11 +60,19 @@ def _config_fields() -> Dict[str, Any]:
 
 def _check_fields(where: str, mapping: Mapping[str, Any]) -> None:
     """Reject unknown or excluded config fields with a helpful message."""
+    from repro.scenarios import DIMENSIONS
     known = _config_fields()
     for key in mapping:
         if key not in known:
-            hint = (" (cache settings belong to the sweep invocation, "
-                    "not the plan)" if key in _EXCLUDED_FIELDS else "")
+            hint = ""
+            if key in _EXCLUDED_FIELDS:
+                hint = (" (cache settings belong to the sweep invocation, "
+                        "not the plan)")
+            elif key in DIMENSIONS:
+                hint = (f" ({key} is an execution dimension: set it on an "
+                        f"inline scenario, e.g. a 'scenario' axis value "
+                        f"{{name: ..., {key}: ...}}; see "
+                        f"docs/SCENARIOS.md)")
             raise SweepPlanError(
                 f"{where}: unknown config field {key!r}{hint}; "
                 f"choose from {sorted(known)}")
@@ -255,8 +262,8 @@ def build_config(overrides: Mapping[str, Any], *,
     """A validated :class:`PipelineConfig` from a point's field mapping.
 
     Inline ``fault_plan`` mappings become :class:`FaultPlan` objects and
-    ``run_platform_params`` mappings pass through the config's own
-    normalization; cache policy comes from the sweep invocation.
+    inline ``scenario`` mappings pass through the config's own
+    resolution; cache policy comes from the sweep invocation.
     """
     from repro.faults.plan import FaultPlan
     from repro.pipeline.config import PipelineConfig
@@ -281,20 +288,24 @@ base:                     # PipelineConfig fields shared by every point
 axes:                     # cartesian product, listed order, last fastest
   - field: compute_scale  # Fig. 7's axis: fraction of recorded compute
     values: [1.0, 0.9, 0.8, 0.7, 0.6, 0.5, 0.4, 0.3, 0.2, 0.1, 0.0]
-# more axes compound, e.g. sweep the run-time network too:
-#  - field: run_platform_params
-#    values: [{latency: 3.0e-5}, {latency: 1.0e-4}]
-# topology and placement are execution-only: every point still shares
-# the cached trace/emit artifacts (docs/TOPOLOGY.md):
-#  - field: topology
-#    values: [null, torus3d, fattree]
-#  - field: placement
-#    values: [block, roundrobin, "random:1"]
-# scenarios are execution-only too: a scenario axis (curated names or
-# inline specs, docs/SCENARIOS.md) reruns the same cached benchmark
-# under each adversity, and scenario points report link/drop metrics:
+# more axes compound.  The run-time network, topology, placement and
+# queue discipline are execution dimensions of a scenario: a scenario
+# axis (curated names or inline specs, docs/SCENARIOS.md) reruns the
+# same cached trace/emit artifacts under each, and scenario points
+# report link/drop metrics:
 #  - field: scenario
 #    values: [calm, torus-hotlink, straggler-wavefront]
+# e.g. sweep the run-time network:
+#  - field: scenario
+#    values:
+#      - {name: arc-30us, run_platform: arc,
+#         run_platform_params: {latency: 3.0e-5}}
+#      - {name: arc-100us, run_platform: arc,
+#         run_platform_params: {latency: 1.0e-4}}
+# or the fabric (docs/TOPOLOGY.md); null is the flat network:
+#  - field: scenario
+#    values: [null, {name: torus, topology: torus3d},
+#             {name: torus-rr, topology: torus3d, placement: roundrobin}]
 points: []                # explicit extra points, e.g.
 #  - {nranks: 64, compute_scale: 0.5}
 # a fault_plan axis takes inline plans (docs/FAULTS.md schema):

@@ -97,8 +97,27 @@ class TestExpansion:
         cells = c.cells()
         assert len(cells) == 2
         assert cells[0].topology is None
-        assert "topology" not in cells[0].overrides
-        assert cells[1].overrides["topology"] == "torus3d"
+        assert "scenario" not in cells[0].overrides
+        # the topology axis composes into the scenario, like --topology
+        assert cells[1].topology == "torus3d"
+        assert cells[1].overrides["scenario"] == {"name": "inline",
+                                                  "topology": "torus3d"}
+
+    def test_topologies_compose_with_scenarios(self):
+        c = _campaign(topologies=(None, "torus3d"),
+                      scenarios=("hotspot-ranks",))
+        flat, routed = c.cells()
+        assert flat.overrides["scenario"] == "hotspot-ranks"
+        spec = routed.overrides["scenario"]
+        assert spec["name"] == "hotspot-ranks"
+        assert spec["topology"] == "torus3d"
+        assert routed.scenario == "hotspot-ranks"
+
+    def test_topology_conflicting_with_scenario_rejected(self):
+        c = _campaign(topologies=("fattree",),
+                      scenarios=("torus-hotlink",))
+        with pytest.raises(FuzzCampaignError, match="conflicts"):
+            c.cells()
 
     def test_sweep_plan_mirrors_points(self):
         c = _campaign()

@@ -73,14 +73,22 @@ class TestReplace:
             c.replace(nranks=-1)
 
 
+def _scenario(**dims):
+    """An inline scenario spec pinning ``dims``."""
+    return {"name": "what-if", **dims}
+
+
 class TestWhatIfFields:
-    """The §5.4 what-if hooks: compute_scale, run_platform[_params]."""
+    """The §5.4 what-if hooks: compute_scale on the config, the run
+    platform on the scenario."""
 
     def test_defaults(self):
         config = PipelineConfig(app="jacobi", nranks=4)
         assert config.compute_scale == 1.0
-        assert config.run_platform is None
-        assert config.run_platform_params is None
+        assert config.scenario is None
+        # the run platform is a scenario dimension, not a config field
+        assert not hasattr(config, "run_platform")
+        assert not hasattr(config, "run_platform_params")
 
     def test_negative_compute_scale_rejected(self):
         with pytest.raises(PipelineConfigError, match="compute_scale"):
@@ -91,19 +99,34 @@ class TestWhatIfFields:
 
     def test_unknown_run_platform_rejected(self):
         with pytest.raises(PipelineConfigError, match="run_platform"):
-            PipelineConfig(app="jacobi", nranks=4, run_platform="mars")
+            PipelineConfig(app="jacobi", nranks=4,
+                           scenario=_scenario(run_platform="mars"))
 
     def test_params_mapping_normalized_to_sorted_tuple(self):
         config = PipelineConfig(app="jacobi", nranks=4,
-                                run_platform_params={"latency": 1e-5,
-                                                     "bandwidth": 1e8})
-        assert config.run_platform_params == (("bandwidth", 1e8),
-                                              ("latency", 1e-5))
+                                scenario=_scenario(
+                                    run_platform="bluegene",
+                                    run_platform_params={
+                                        "latency": 1e-5,
+                                        "bandwidth": 1e8}))
+        assert config.scenario.run_platform_params == (("bandwidth", 1e8),
+                                                       ("latency", 1e-5))
 
     def test_params_bad_key_rejected(self):
         with pytest.raises(PipelineConfigError, match="keys"):
             PipelineConfig(app="jacobi", nranks=4,
-                           run_platform_params={3: 1.0})
+                           scenario=_scenario(
+                               run_platform="bluegene",
+                               run_platform_params={3: 1.0}))
+
+    def test_params_without_run_platform_rejected_at_construction(self):
+        # no preset to parameterize: this used to pass construction and
+        # fail mid-run; the scenario's rule now rejects it up front
+        with pytest.raises(PipelineConfigError, match="without a "
+                                                      "run_platform"):
+            PipelineConfig(app="jacobi", nranks=4, platform=None,
+                           scenario=_scenario(
+                               run_platform_params={"latency": 1e-5}))
 
     def test_whatif_fields_enter_fingerprint(self):
         base = PipelineConfig(app="jacobi", nranks=4).fingerprint()
@@ -114,8 +137,9 @@ class TestWhatIfFields:
     def test_run_model_resolves_override(self):
         from repro.pipeline import RunContext
         from repro.sim.network import CongestionModel, LogGPModel
-        ctx = RunContext(PipelineConfig(app="jacobi", nranks=4,
-                                        run_platform="ethernet"))
+        ctx = RunContext(PipelineConfig(
+            app="jacobi", nranks=4,
+            scenario=_scenario(run_platform="ethernet")))
         assert isinstance(ctx.model, LogGPModel)
         assert isinstance(ctx.run_model, CongestionModel)
 
@@ -123,7 +147,8 @@ class TestWhatIfFields:
         from repro.pipeline import RunContext
         ctx = RunContext(PipelineConfig(
             app="jacobi", nranks=4,
-            run_platform_params={"latency": 0.25}))
+            scenario=_scenario(run_platform="bluegene",
+                               run_platform_params={"latency": 0.25})))
         assert ctx.run_model.latency == 0.25
         assert ctx.model.latency != 0.25
 
@@ -134,56 +159,79 @@ class TestWhatIfFields:
         with pytest.raises(PipelineConfigError,
                            match="run_platform_params"):
             PipelineConfig(app="jacobi", nranks=4,
-                           run_platform_params={"warp": 9.0})
+                           scenario=_scenario(
+                               run_platform="bluegene",
+                               run_platform_params={"warp": 9.0}))
 
     def test_preset_incompatible_param_rejected(self):
         # SimpleModel takes no eager_threshold; the other presets do
         with pytest.raises(PipelineConfigError, match="simple"):
-            PipelineConfig(app="jacobi", nranks=4, run_platform="simple",
-                           run_platform_params={"eager_threshold": 1})
-        PipelineConfig(app="jacobi", nranks=4, run_platform="bluegene",
-                       run_platform_params={"eager_threshold": 1})
+            PipelineConfig(app="jacobi", nranks=4,
+                           scenario=_scenario(
+                               run_platform="simple",
+                               run_platform_params={"eager_threshold": 1}))
+        PipelineConfig(app="jacobi", nranks=4,
+                       scenario=_scenario(
+                           run_platform="bluegene",
+                           run_platform_params={"eager_threshold": 1}))
 
 
 class TestTopologyFields:
     """The routed-fabric what-if hooks: topology, topology_params,
-    placement (all execution-only)."""
+    placement (scenario dimensions, all execution-only)."""
 
     def test_defaults(self):
         c = PipelineConfig(app="jacobi", nranks=4)
-        assert c.topology is None
-        assert c.topology_params is None
-        assert c.placement == "block"
+        for name in ("topology", "topology_params", "placement",
+                     "queue_discipline", "queue_params"):
+            assert not hasattr(c, name), name
+        assert c.scenario is None
 
     def test_unknown_topology_rejected(self):
         with pytest.raises(PipelineConfigError, match="topology"):
-            PipelineConfig(app="jacobi", nranks=4, topology="hypercube")
+            PipelineConfig(app="jacobi", nranks=4,
+                           scenario=_scenario(topology="hypercube"))
 
     def test_params_without_topology_rejected(self):
         with pytest.raises(PipelineConfigError, match="without"):
             PipelineConfig(app="jacobi", nranks=4,
-                           topology_params={"nodes": 2})
+                           scenario=_scenario(topology_params={"nodes": 2}))
 
     def test_bad_topology_param_rejected_at_construction(self):
         with pytest.raises(PipelineConfigError, match="torus3d"):
-            PipelineConfig(app="jacobi", nranks=4, topology="torus3d",
-                           topology_params={"arity": 4})
+            PipelineConfig(app="jacobi", nranks=4,
+                           scenario=_scenario(topology="torus3d",
+                                              topology_params={"arity": 4}))
 
     def test_params_normalized_to_sorted_tuple(self):
-        c = PipelineConfig(app="jacobi", nranks=4, topology="fattree",
-                           topology_params={"nodes": 2, "arity": 2})
-        assert c.topology_params == (("arity", 2), ("nodes", 2))
+        c = PipelineConfig(app="jacobi", nranks=4,
+                           scenario=_scenario(
+                               topology="fattree",
+                               topology_params={"nodes": 2, "arity": 2}))
+        assert c.scenario.topology_params == (("arity", 2), ("nodes", 2))
 
     def test_bad_placement_spec_rejected(self):
         with pytest.raises(PipelineConfigError, match="placement"):
-            PipelineConfig(app="jacobi", nranks=4, placement="scatter")
+            PipelineConfig(app="jacobi", nranks=4,
+                           scenario=_scenario(topology="torus3d",
+                                              placement="scatter"))
         with pytest.raises(PipelineConfigError, match="placement"):
-            PipelineConfig(app="jacobi", nranks=4, placement="")
+            PipelineConfig(app="jacobi", nranks=4,
+                           scenario=_scenario(topology="torus3d",
+                                              placement=""))
+
+    def test_placement_without_topology_rejected(self):
+        # a placement acts only on a routed fabric; it used to be
+        # accepted and silently ignored on the flat network
+        with pytest.raises(PipelineConfigError, match="without a topology"):
+            PipelineConfig(app="ring", nranks=4,
+                           scenario=_scenario(placement="roundrobin"))
 
     def test_topology_enters_fingerprint(self):
         base = PipelineConfig(app="jacobi", nranks=4).fingerprint()
         topo = PipelineConfig(app="jacobi", nranks=4,
-                              topology="torus3d").fingerprint()
+                              scenario=_scenario(
+                                  topology="torus3d")).fingerprint()
         assert base != topo
 
     def test_profile_excluded_from_fingerprint(self):
@@ -197,8 +245,8 @@ class TestTopologyFields:
     def test_run_model_is_routed(self):
         from repro.pipeline import RunContext
         from repro.topology import TopologyModel
-        ctx = RunContext(PipelineConfig(app="jacobi", nranks=4,
-                                        topology="torus3d"))
+        ctx = RunContext(PipelineConfig(
+            app="jacobi", nranks=4, scenario=_scenario(topology="torus3d")))
         assert not getattr(ctx.model, "routed", False)
         assert isinstance(ctx.run_model, TopologyModel)
 
@@ -206,8 +254,9 @@ class TestTopologyFields:
         from repro.pipeline import RunContext
         from repro.sim.network import CongestionModel
         ctx = RunContext(PipelineConfig(
-            app="jacobi", nranks=4, run_platform="ethernet",
-            topology="fattree", topology_params={"arity": 2}))
+            app="jacobi", nranks=4,
+            scenario=_scenario(run_platform="ethernet", topology="fattree",
+                               topology_params={"arity": 2})))
         model = ctx.run_model
         assert model.routed
         assert isinstance(model.base, CongestionModel)
@@ -217,7 +266,8 @@ class TestTopologyFields:
         # without touching the filesystem) but resolution fails
         from repro.pipeline import RunContext
         ctx = RunContext(PipelineConfig(
-            app="jacobi", nranks=4, topology="torus3d",
-            placement="map:/nonexistent/nodes.json"))
+            app="jacobi", nranks=4,
+            scenario=_scenario(topology="torus3d",
+                               placement="map:/nonexistent/nodes.json")))
         with pytest.raises(PipelineError, match="topology config"):
             ctx.run_model

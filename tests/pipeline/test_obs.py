@@ -84,3 +84,48 @@ class TestOutput:
         report = inst.report()
         assert "[engine]" in report and "[generator]" in report
         assert "engine.steps" in report
+
+
+class TestSpanNamesAreUnique:
+    """One name per measured region: the pipeline's own span is not
+    confused with a stage's, nor the tracer's end-of-run merge with the
+    align stage's re-merge."""
+
+    @pytest.fixture(scope="class")
+    def spans(self):
+        from repro.pipeline import PipelineConfig, full_pipeline
+        with obs.instrumented() as inst:
+            result = full_pipeline().run(
+                PipelineConfig(app="sweep3d", nranks=8))
+        assert result.artifacts["was_aligned"]
+        begins = {e["id"]: e for e in inst.events
+                  if e["kind"] == "span_begin"}
+        ends = {e["id"]: e for e in inst.events if e["kind"] == "span_end"}
+        return [(b["name"], b["seq"], ends[i]["seq"])
+                for i, b in begins.items()], result
+
+    @staticmethod
+    def _enclosing(spans, name):
+        """The pipeline.stage.* span enclosing each span called name."""
+        out = []
+        for inner, b, e in spans:
+            if inner != name:
+                continue
+            out.extend(outer for outer, ob, oe in spans
+                       if outer.startswith("pipeline.stage.")
+                       and ob < b and e < oe)
+        return out
+
+    def test_one_pipeline_run_span(self, spans):
+        spans, result = spans
+        names = [n for n, _, _ in spans]
+        assert names.count("pipeline.run") == 1
+        assert sorted(n for n in names if n.startswith("pipeline.stage.")) \
+            == sorted(f"pipeline.stage.{r.stage}" for r in result.records)
+
+    def test_finalize_and_re_merge_are_named_apart(self, spans):
+        spans, _ = spans
+        assert self._enclosing(spans, "scalatrace.finalize") == \
+            ["pipeline.stage.trace"]
+        assert self._enclosing(spans, "scalatrace.merge") == \
+            ["pipeline.stage.align"]

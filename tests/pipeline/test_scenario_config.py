@@ -1,19 +1,22 @@
-"""Scenario expansion into PipelineConfig: adopt, agree, or error.
+"""Scenarios on PipelineConfig, and the flag-composition rule.
 
-A config carrying a scenario eagerly adopts the scenario's *expanded*
-dimensions (platform/topology/placement/queueing) under three rules —
-adopt-if-default, pass-if-equal, error-if-conflict — while the
-scenario's fault content and schedule pin stay out of the config
-fields entirely (they apply only at the execution stages)."""
+The scenario is the config's only carrier of execution dimensions
+(platform/topology/placement/queueing).  Loose dimensions — the CLI's
+``--topology``/``--placement``/``--queue-*`` flags, a fuzz campaign's
+``topologies`` axis — fold into it through
+:func:`repro.scenarios.compose_scenario` under three rules:
+adopt-if-unset, pass-if-equal, error-if-conflict.  The scenario's
+fault content and schedule pin stay out of the config fields entirely
+(they apply only at the execution stages)."""
 
 import dataclasses
 
 import pytest
 
-from repro.errors import PipelineConfigError
+from repro.errors import PipelineConfigError, ScenarioError
 from repro.faults import FaultPlan
 from repro.pipeline import PipelineConfig
-from repro.scenarios import SCENARIOS, Scenario
+from repro.scenarios import SCENARIOS, Scenario, compose_scenario
 
 
 class TestExpansion:
@@ -21,28 +24,44 @@ class TestExpansion:
         c = PipelineConfig(app="sweep3d", nranks=8,
                            scenario="codel-pressure")
         assert isinstance(c.scenario, Scenario)
-        assert c.topology == "torus3d"
-        assert c.placement == "roundrobin"
-        assert c.queue_discipline == "codel"
-        assert dict(c.queue_params)["interval"] == 1e-5
+        assert c.scenario.topology == "torus3d"
+        assert c.scenario.placement == "roundrobin"
+        assert c.scenario.queue_discipline == "codel"
+        # a dimension the scenario leaves unset is adopted; the name
+        # and the fault content are the scenario's own
+        scn = compose_scenario("hotspot-ranks", topology="torus3d",
+                               placement="roundrobin")
+        assert scn.name == "hotspot-ranks"
+        assert (scn.topology, scn.placement) == ("torus3d", "roundrobin")
+        assert scn.adversaries == SCENARIOS["hotspot-ranks"].adversaries
 
     def test_inline_mapping_resolves(self):
         c = PipelineConfig(app="ring", nranks=4,
                            scenario={"name": "inline",
                                      "topology": "fattree"})
         assert c.scenario.name == "inline"
-        assert c.topology == "fattree"
+        assert c.scenario.topology == "fattree"
 
     def test_equal_value_passes(self):
-        c = PipelineConfig(app="sweep3d", nranks=8,
-                           topology="torus3d",
-                           scenario="torus-hotlink")
-        assert c.topology == "torus3d"
+        scn = compose_scenario("torus-hotlink", topology="torus3d")
+        assert scn.digest() == SCENARIOS["torus-hotlink"].digest()
+        # params compare in canonical (sorted-pair) form
+        scn = compose_scenario(
+            "codel-pressure", queue_discipline="codel",
+            queue_params={"target": 1e-6, "penalty": 5e-5,
+                          "interval": 1e-5})
+        assert scn.digest() == SCENARIOS["codel-pressure"].digest()
 
     def test_conflicting_dimension_errors(self):
-        with pytest.raises(PipelineConfigError, match="already has"):
-            PipelineConfig(app="sweep3d", nranks=8, topology="fattree",
-                           scenario="torus-hotlink")
+        with pytest.raises(ScenarioError, match="conflicts"):
+            compose_scenario("torus-hotlink", topology="fattree")
+
+    def test_unset_dimensions_are_ignored(self):
+        assert compose_scenario() is None
+        assert compose_scenario(topology=None, placement=None) is None
+        assert compose_scenario("calm") is SCENARIOS["calm"]
+        scn = compose_scenario(topology="torus3d", topology_params={})
+        assert scn == Scenario(name="inline", topology="torus3d")
 
     def test_fault_content_conflicts_with_config_plan(self):
         with pytest.raises(PipelineConfigError, match="one or the other"):
@@ -76,12 +95,14 @@ class TestExpansion:
     def test_codel_without_topology_rejected(self):
         with pytest.raises(PipelineConfigError, match="routed"):
             PipelineConfig(app="ring", nranks=4,
-                           queue_discipline="codel")
+                           scenario={"name": "q",
+                                     "queue_discipline": "codel"})
 
     def test_unknown_queue_discipline_rejected(self):
         with pytest.raises(PipelineConfigError, match="queue"):
-            PipelineConfig(app="ring", nranks=4, topology="torus3d",
-                           queue_discipline="nope")
+            PipelineConfig(app="ring", nranks=4,
+                           scenario={"name": "q", "topology": "torus3d",
+                                     "queue_discipline": "nope"})
 
 
 class TestFingerprint:

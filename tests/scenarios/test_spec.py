@@ -66,7 +66,10 @@ class TestScenarioSpec:
         ({"name": "x", "queue_discipline": "codel"}, "routed topology"),
         ({"name": "x", "queue_discipline": "nope",
           "topology": "torus3d"}, "queue"),
-        ({"name": "x", "placement": "nope"}, "placement"),
+        ({"name": "x", "placement": "nope", "topology": "torus3d"},
+         "placement"),
+        # a placement acts only on a routed fabric
+        ({"name": "x", "placement": "roundrobin"}, "without a topology"),
     ])
     def test_invalid_specs_rejected(self, kwargs, needle):
         with pytest.raises(ScenarioError, match=needle):

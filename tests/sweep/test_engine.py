@@ -125,8 +125,11 @@ class TestModes:
 
     def test_run_platform_params_axis(self, tmp_path):
         plan = tiny_plan(
-            axes=[{"field": "run_platform_params",
-                   "values": [{"latency": 3e-6}, {"latency": 3e-4}]}])
+            axes=[{"field": "scenario",
+                   "values": [{"name": f"lat-{lat:g}",
+                               "run_platform": "bluegene",
+                               "run_platform_params": {"latency": lat}}
+                              for lat in (3e-6, 3e-4)]}])
         result = run_sweep(plan, workers=1,
                            cache_dir=str(tmp_path / "c"))
         slow, fast = result.points[1], result.points[0]
@@ -140,15 +143,19 @@ class TestModes:
         # one cached trace+emit with the flat baseline, and the routed
         # points pay per-hop latency the flat point does not
         plan = tiny_plan(
-            base={"app": "jacobi", "nranks": 4,
-                  "topology_params": {"nodes": 2}},
-            axes=[{"field": "topology", "values": ["flat", "torus3d"]},
-                  {"field": "placement",
-                   "values": ["block", "roundrobin"]}])
+            base={"app": "jacobi", "nranks": 4},
+            axes=[{"field": "scenario",
+                   "values": [{"name": f"{topo}-{place}",
+                               "topology": topo,
+                               "topology_params": {"nodes": 2},
+                               "placement": place}
+                              for topo in ("flat", "torus3d")
+                              for place in ("block", "roundrobin")]}])
         result = run_sweep(plan, workers=1,
                            cache_dir=str(tmp_path / "c"))
         assert all(p.error is None for p in result.points)
-        by_key = {(p.params["topology"], p.params["placement"]):
+        by_key = {(p.params["scenario"]["topology"],
+                   p.params["scenario"]["placement"]):
                   p.metrics["makespan_s"] for p in result.points}
         assert len(by_key) == 4
         assert by_key[("torus3d", "block")] > by_key[("flat", "block")]

@@ -42,6 +42,16 @@ class TestValidation:
         with pytest.raises(SweepPlanError, match="sweep invocation"):
             tiny_plan(base={"app": "jacobi", "use_cache": True})
 
+    @pytest.mark.parametrize("name", ["run_platform", "topology",
+                                      "placement", "queue_discipline"])
+    def test_execution_dimensions_point_to_the_scenario(self, name):
+        # the dimensions moved onto the scenario; a plan naming one as
+        # a config field is told where it went
+        with pytest.raises(SweepPlanError, match="inline scenario"):
+            tiny_plan(axes=[{"field": name, "values": [None]}])
+        with pytest.raises(SweepPlanError, match="docs/SCENARIOS.md"):
+            tiny_plan(base={"app": "jacobi", name: None})
+
     def test_unknown_axis_field(self):
         with pytest.raises(SweepPlanError, match="unknown config field"):
             tiny_plan(axes=[{"field": "bogus", "values": [1]}])

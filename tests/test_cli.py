@@ -230,6 +230,21 @@ class TestSweepSubcommand:
         assert main(["sweep", "validate", "bad.yaml"]) == 1
         assert "INVALID" in capsys.readouterr().err
 
+    def test_validate_rejects_platform_params_without_preset(
+            self, workdir, capsys):
+        # nothing names a preset for the overrides to parameterize:
+        # validation fails instead of the point failing mid-run
+        with open("bad.yaml", "w") as fh:
+            fh.write("name: bad\n"
+                     "base: {app: jacobi, nranks: 4, platform: null}\n"
+                     "axes:\n"
+                     "  - field: scenario\n"
+                     "    values: [{name: fast, run_platform_params: "
+                     "{latency: 1.0e-6}}]\n")
+        assert main(["sweep", "validate", "bad.yaml"]) == 1
+        err = capsys.readouterr().err
+        assert "INVALID" in err and "without a run_platform" in err
+
     def test_run_writes_result_and_jsonl(self, workdir, capsys):
         with open("plan.yaml", "w") as fh:
             fh.write(TINY_SWEEP)

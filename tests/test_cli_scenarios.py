@@ -1,6 +1,7 @@
 """CLI tests for the scenario surface: the ``scenarios`` subcommand
-group, the queueing flags on run/replay/pipeline, ``--scenario`` on the
-pipeline, and the per-app ``pattern`` metadata in ``apps --json``.
+group, the topology and queueing flags on run/replay/pipeline (which
+compose into one scenario), ``--scenario`` on the pipeline, and the
+per-app ``pattern`` metadata in ``apps --json``.
 
 ``scenarios run`` compiles to the same one-point sweep plan the service
 executes, so the ``-o`` artifact here is pinned byte-for-byte against a
@@ -11,9 +12,13 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.apps import APPS, PATTERNS
-from repro.cli import main
-from repro.scenarios import SCENARIOS, ScenarioJob, loads_scenario
+from repro.cli import _execution_scenario, build_parser, main
+from repro.pipeline import PipelineConfig, full_pipeline
+from repro.scenarios import (SCENARIOS, Scenario, ScenarioJob,
+                             dumps_scenario, load_scenario, loads_scenario,
+                             scenario_fault_plan)
 from repro.sweep import run_sweep
 
 
@@ -157,3 +162,118 @@ class TestQueueingFlags:
                   "--no-cache", "--no-run",
                   "--queue-discipline", "codel",
                   "--queue-param", "target"])
+
+
+class TestPlacementNeedsTopology:
+    def test_placement_without_topology_exits_2(self, workdir, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--app", "ring", "--np", "4", "--no-cache",
+                  "--no-run", "--placement", "roundrobin"])
+        assert exc.value.code == 2
+        assert "without a topology" in capsys.readouterr().err
+
+    def test_run_and_replay_reject_it_too(self, workdir, capsys):
+        assert main(["trace", "--app", "ring", "--np", "4",
+                     "-o", "r.trace"]) == 0
+        assert main(["generate", "r.trace", "-o", "r.ncptl"]) == 0
+        for argv in (["run", "r.ncptl", "--np", "4"],
+                     ["replay", "r.trace"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv + ["--placement", "roundrobin"])
+            assert exc.value.code == 2
+
+    def test_default_placement_counts_as_unset(self, workdir, capsys):
+        assert main(["pipeline", "--app", "ring", "--np", "4",
+                     "--no-cache", "--no-run", "--placement", "block"]) == 0
+
+
+def _flag_scenario(*flags):
+    """The scenario ``repro pipeline`` builds from ``flags``."""
+    args = build_parser().parse_args(
+        ["pipeline", "--app", "ring", "--np", "4", *flags])
+    return _execution_scenario(args)
+
+
+class TestFlagComposition:
+    def test_no_flags_no_scenario(self):
+        assert _flag_scenario() is None
+        assert _flag_scenario("--scenario", "calm") is SCENARIOS["calm"]
+
+    def test_flags_build_a_scenario(self):
+        scn = _flag_scenario("--topology", "torus3d",
+                             "--topology-param", "dims=[2,2,1]",
+                             "--placement", "roundrobin",
+                             "--queue-discipline", "codel",
+                             "--queue-param", "target=1e-6")
+        assert scn == Scenario(name="inline", topology="torus3d",
+                               topology_params={"dims": [2, 2, 1]},
+                               placement="roundrobin",
+                               queue_discipline="codel",
+                               queue_params={"target": 1e-6})
+
+    def test_flag_defaults_adopt_the_scenario(self):
+        scn = _flag_scenario("--scenario", "codel-pressure")
+        assert scn is SCENARIOS["codel-pressure"]
+
+    def test_conflicting_flag_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            _flag_scenario("--scenario", "torus-hotlink",
+                           "--topology", "fattree")
+        assert exc.value.code == 2
+        assert "conflicts" in capsys.readouterr().err
+
+    def test_flag_topology_drives_adversaries(self):
+        # the composed scenario both routes the run and places the
+        # topology-free adversaries on that fabric
+        scn = _flag_scenario("--scenario", "hotspot-ranks",
+                             "--topology", "torus3d")
+        assert scn.name == "hotspot-ranks"
+        assert scn.topology == "torus3d"
+        config = PipelineConfig(app="sweep3d", nranks=8, scenario=scn)
+        assert config.scenario.topology == "torus3d"
+        assert scenario_fault_plan(config.scenario, "sweep3d", 8) != \
+            scenario_fault_plan(SCENARIOS["hotspot-ranks"], "sweep3d", 8)
+
+
+def _dimension_flags(dims):
+    """The CLI flags spelling a scenario's execution dimensions."""
+    assert set(dims) <= {"topology", "topology_params", "placement",
+                         "queue_discipline", "queue_params"}, dims
+    flags = ["--topology", dims["topology"]]
+    for key, value in dims.get("topology_params") or ():
+        flags += ["--topology-param", f"{key}={json.dumps(value)}"]
+    if "placement" in dims:
+        flags += ["--placement", dims["placement"]]
+    if "queue_discipline" in dims:
+        flags += ["--queue-discipline", dims["queue_discipline"]]
+    for key, value in dims.get("queue_params") or ():
+        flags += ["--queue-param", f"{key}={json.dumps(value)}"]
+    return flags
+
+
+def _observed_run(scenario, cache_dir):
+    config = PipelineConfig(app="jacobi", nranks=8, scenario=scenario,
+                            use_cache=True, cache_dir=str(cache_dir))
+    with obs.instrumented() as inst:
+        result = full_pipeline().run(config)
+    keys = {e["stage"]: e["key"] for e in inst.events
+            if e["kind"] == "cache_miss"}
+    engine = {k: v for k, v in inst.counters.items()
+              if k.startswith("engine.")}
+    return result.run_result.total_time.hex(), engine, keys
+
+
+@pytest.mark.parametrize("name", [n for n, s in SCENARIOS.items()
+                                  if s.topology is not None])
+def test_flag_form_matches_spec_file(name, tmp_path):
+    """The flags and a spec file with the same dimensions give the same
+    run: makespan bits, engine counters and trace/emit cache keys."""
+    dims = SCENARIOS[name].dimensions()
+    from_flags = _flag_scenario(*_dimension_flags(dims))
+    path = tmp_path / "dims.yaml"
+    path.write_text(dumps_scenario(Scenario(name="from-file", **dims)))
+    from_file = load_scenario(str(path))
+    flags_run = _observed_run(from_flags, tmp_path / "c1")
+    file_run = _observed_run(from_file, tmp_path / "c2")
+    assert flags_run == file_run
+    assert set(flags_run[2]) == {"trace", "emit"}
