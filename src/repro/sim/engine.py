@@ -28,23 +28,20 @@ The core is layered (see ``docs/ARCHITECTURE.md``):
   horizon, dirty-set wakeup, deferred destinations;
 * :mod:`repro.sim.matching` — per-(src, dst, comm) channels, indexed
   pending receives, cached arrival estimates, wildcard candidate heaps;
-* :mod:`repro.sim.exec_batch` — the cohort-batched executor (default),
-  which flattens dispatch and inlines the hot handlers;
+* :mod:`repro.sim.exec_batch` — the cohort-batched executor, the
+  engine's one run loop, which flattens dispatch and inlines the hot
+  handlers (crash checks and ``--profile`` phase timers included);
 * this module — protocol semantics (send/receive/collective timing
-  arithmetic, flow control, faults) and the *scalar* reference loop.
+  arithmetic, flow control, faults), resumption and termination.
 
-``Engine.run()`` picks the executor from the ``mode`` constructor
-argument, defaulting to the ``REPRO_ENGINE_MODE`` environment variable
-(``batch`` when unset; ``scalar`` selects the reference loop).  Both
-modes are bit-identical by contract: commit order, tie-breaking, timing
-and counters are pinned by the golden suites in ``tests/sim/golden/``
-and the Hypothesis equivalence tests.  Runs with crash faults or
-``--profile`` instrumentation always use the reference loop structure.
+Commit order, tie-breaking, timing and counters are pinned by the
+golden suites in ``tests/sim/golden/``; the Hypothesis equivalence
+tests diff the executor against a one-op-at-a-time reference loop
+kept in ``tests/sim/oracle.py``.
 """
 
 from __future__ import annotations
 
-import os
 from types import MethodType
 from typing import Dict, Generator, List, Optional, Sequence, Tuple
 
@@ -52,19 +49,15 @@ from repro import obs
 from repro.errors import MPIUsageError, SimDeadlockError, SimulationError
 from repro.sim.diagnostics import (BlockedOp, DeadlockDiagnostic,
                                    find_cycle)
-from repro.sim.exec_batch import (_BLOCK, _CollInstance, run_batch,
-                                  run_profiled)
+from repro.sim.exec_batch import _CollInstance, run_batch
 from repro.sim.matching import (MatchIndex, _Message, _PendingRecv,
                                 arrival_est, drain_batch)
 from repro.sim.network import NetworkModel
-from repro.sim.ops import (ANY_SOURCE, Collective, Compute, Op, PostRecv,
-                           PostSend, Test, WaitAll, WaitAny)
+from repro.sim.ops import ANY_SOURCE, PostSend
 from repro.sim.policy import drain_policy, resolve_policy
 from repro.sim.queueing import resolve_queue_discipline
 from repro.sim.requests import Request, Status
 from repro.sim.sched import BLOCKED, DONE, READY, Scheduler
-
-_MODES = ("scalar", "batch")
 
 
 class _RankState:
@@ -82,24 +75,12 @@ class _RankState:
         self.coll_seq: Dict[int, int] = {}        # comm_id -> collective counter
 
 
-def resolve_mode(mode: Optional[str] = None) -> str:
-    """Resolve an engine mode: explicit argument, else the
-    ``REPRO_ENGINE_MODE`` environment variable, else ``batch``."""
-    if mode is None:
-        mode = os.environ.get("REPRO_ENGINE_MODE", "batch")
-    if mode not in _MODES:
-        raise ValueError(
-            f"unknown engine mode {mode!r}: expected one of {_MODES} "
-            f"(set via REPRO_ENGINE_MODE or Engine(mode=...))")
-    return mode
-
-
 class Engine:
     """Run a set of rank generator programs to completion in virtual time."""
 
     def __init__(self, nranks: int, model: NetworkModel,
                  max_steps: Optional[int] = None, faults=None,
-                 mode: Optional[str] = None, profile: bool = False,
+                 profile: bool = False,
                  schedule_policy=None, schedule_seed: Optional[int] = None,
                  queue_discipline=None, queue_params=None):
         if nranks <= 0:
@@ -107,13 +88,15 @@ class Engine:
         self.nranks = nranks
         self.model = model
         self.max_steps = max_steps
-        #: executor selection: "batch" (cohort executor, default) or
-        #: "scalar" (reference loop); both are bit-identical
-        self.mode = resolve_mode(mode)
         #: tie-break policy for wildcard matches and same-clock cohorts;
         #: canonical (the default) leaves every hot path untouched —
         #: see repro.sim.policy.  Validated here, at construction.
         self.policy = resolve_policy(schedule_policy, schedule_seed)
+        #: the matching drain: the candidate-heap drain_batch under the
+        #: canonical policy; a non-canonical policy needs the reference
+        #: scan (the heaps answer canonical-minimum queries only)
+        self._drain = MethodType(
+            drain_batch if self.policy.canonical else drain_policy, self)
         #: per-phase wall-time attribution (``repro pipeline --profile``)
         self.profile = bool(profile)
         self.profile_phases: Optional[Dict[str, float]] = None
@@ -133,21 +116,12 @@ class Engine:
         s = self._sched = Scheduler(self._min_latency)
         # hot-path aliases: the engine's protocol methods address the
         # matcher's and scheduler's containers directly (same objects)
-        self._channels = m.channels
-        self._chan_live = m.chan_live
-        self._channels_by_dst = m.channels_by_dst
-        self._srcs_by_dst_comm = m.srcs_by_dst_comm
         self._pending_recvs = m.pending_recvs
         self._pending_live = m.pending_live
-        self._recv_index = m.recv_index
-        self._wild_index = m.wild_index
         self._unexpected_bytes = m.unexpected_bytes
         self._has_compatible_recv = m.has_compatible_recv
-        self._ready_heap = s.ready_heap
-        self._clock_heap = s.clock_heap
         self._dirty = s.dirty
         self._deferred_dsts = s.deferred_dsts
-        self._pop_ready = s.pop_ready
         self._make_ready = s.make_ready
         self._horizon = s.horizon
         # -- protocol-side per-rank state -----------------------------------
@@ -226,73 +200,12 @@ class Engine:
             self._wire_free[i] = 0.0
             self._overload[i] = (0.0, 0.0)
 
-        # executor selection: the cohort executor covers the batch mode;
-        # crash-fault runs need the reference loop's per-op crash check,
-        # and --profile uses the instrumented reference structure.  The
-        # batch drain (candidate heaps) is bound whenever mode is batch.
-        use_batch = self.mode == "batch" and self._crash_at is None
-        if self.mode == "batch":
-            self._drain = MethodType(drain_batch, self)
-        if not self.policy.canonical:
-            # non-canonical schedule: both executors route the two
-            # decision points through the policy.  The policy drain
-            # replaces both the scalar reference drain and drain_batch
-            # (the batch candidate heaps answer canonical-minimum
-            # queries a policy cannot use), so scalar and batch mode
-            # enumerate candidates — and consume RNG draws — in the
-            # same order.  The pop rebinding covers the scalar loop and
-            # run_profiled; run_batch checks the policy itself.
-            self._drain = MethodType(drain_policy, self)
-            policy = self.policy
-            s = self._sched
-            self._pop_ready = lambda: s.pop_ready_policy(policy)
         with obs.span("engine.run", nranks=self.nranks):
             try:
-                if self.profile:
-                    run_profiled(self)
-                elif use_batch:
-                    run_batch(self)
-                else:
-                    self._run_scalar()
+                run_batch(self)
             finally:
                 self._flush_counters()
         return self.total_time
-
-    def _run_scalar(self) -> None:
-        """The reference main loop: one generator step at a time through
-        :meth:`_step`/:meth:`_apply`.  The cohort executor
-        (:func:`repro.sim.exec_batch.run_batch`) must stay bit-identical
-        to this loop."""
-        while True:
-            self.steps += 1
-            if self.max_steps is not None and \
-                    self.steps > self.max_steps:
-                raise SimulationError(
-                    f"exceeded max_steps={self.max_steps}; "
-                    f"likely livelock")
-            if self._deferred_dsts:
-                for dst in sorted(self._deferred_dsts):
-                    self._deferred_dsts.discard(dst)
-                    self._drain(dst, relaxed=False)
-            if self._dirty:
-                self._resume_dirty()
-            rs = self._pop_ready()
-            if rs is not None:
-                self._step(rs)
-                continue
-            if self._done_count == self.nranks:
-                break
-            # everyone blocked: try relaxed matching / resumption
-            self.deadlock_checks += 1
-            if self._relaxed_progress():
-                continue
-            if self.crashed_ranks:
-                # graceful degradation: ranks waiting on a crashed
-                # peer can never progress — record the diagnostic
-                # and end the run so its trace prefix survives
-                self._starve_blocked()
-                break
-            self._raise_deadlock()
 
     def _flush_counters(self) -> None:
         """Publish this run's accumulated probe totals (cheap: the hot
@@ -300,8 +213,7 @@ class Engine:
 
         Counters are emitted in sorted-name order — deterministic
         regardless of link discovery order or fault-counter insertion
-        order, so JSONL metrics output is byte-stable across runs and
-        engine modes.
+        order, so JSONL metrics output is byte-stable across runs.
         """
         pairs = [
             ("engine.steps", self.steps),
@@ -377,88 +289,6 @@ class Engine:
 
     def now(self, rank: int) -> float:
         return self._ranks[rank].clock
-
-    # -- generator stepping -------------------------------------------------
-    def _step(self, rs: _RankState) -> None:
-        value = rs.pending_value
-        rs.pending_value = None
-        while True:
-            if self._crash_at is not None and \
-                    rs.clock >= self._crash_at[rs.rank]:
-                self._crash_rank(rs)
-                return
-            self.steps += 1
-            if self.max_steps is not None and self.steps > self.max_steps:
-                raise SimulationError(
-                    f"exceeded max_steps={self.max_steps}; likely livelock")
-            try:
-                op = rs.gen.send(value)
-            except StopIteration:
-                rs.state = DONE
-                self._done_count += 1
-                self._on_rank_done(rs)
-                return
-            value = self._apply(rs, op)
-            if value is _BLOCK:
-                rs.state = BLOCKED
-                return
-
-    def _apply(self, rs: _RankState, op: Op):
-        if isinstance(op, Compute):
-            if self._faults is not None:
-                rs.clock += op.duration * \
-                    self._faults.compute_factor(rs.rank)
-            else:
-                rs.clock += op.duration
-            return None
-        if isinstance(op, PostSend):
-            return self._apply_send(rs, op)
-        if isinstance(op, PostRecv):
-            return self._apply_recv(rs, op)
-        if isinstance(op, WaitAll):
-            done = self._try_waitall(rs, op.requests, relaxed=False)
-            if done is not None:
-                return done
-            rs.blocked_kind = "waitall"
-            rs.blocked_data = op.requests
-            self._register_waiter(rs, op.requests)
-            return _BLOCK
-        if isinstance(op, WaitAny):
-            done = self._try_waitany(rs, op.requests, relaxed=False)
-            if done is not None:
-                return done
-            rs.blocked_kind = "waitany"
-            rs.blocked_data = op.requests
-            self._register_waiter(rs, op.requests)
-            return _BLOCK
-        if isinstance(op, Test):
-            # A test succeeds only if the operation has completed by the
-            # rank's current virtual time; testing never advances the clock
-            # past the completion (matching MPI_Test semantics).
-            req = op.request
-            if req.complete and req.completion <= rs.clock:
-                return (True, req.status)
-            return (False, None)
-        if isinstance(op, Collective):
-            return self._apply_collective(rs, op)
-        raise MPIUsageError(f"rank {rs.rank} yielded non-op {op!r}")
-
-    def _register_waiter(self, rs: _RankState, requests) -> None:
-        """Route future completions of ``requests`` to the blocking rank.
-
-        A rank blocking on WaitAny with an already-complete request goes
-        straight onto the dirty set: its resumability depends on the
-        safety horizon (which moves as other ranks run), not on any new
-        completion, so it must be re-examined every scheduler pass.
-        """
-        any_complete = False
-        for req in requests:
-            if req.complete:
-                any_complete = True
-            else:
-                req.waiter = rs.rank
-        if any_complete and rs.blocked_kind == "waitany":
-            self._dirty.add(rs.rank)
 
     # -- sends ----------------------------------------------------------------
     def _apply_send(self, rs: _RankState, op: PostSend) -> Request:
@@ -679,82 +509,7 @@ class Engine:
             busy[link] = busy.get(link, 0.0) + ser
         return links, inject, t
 
-    # -- receives ---------------------------------------------------------------
-    def _apply_recv(self, rs: _RankState, op: PostRecv) -> Request:
-        if op.src != ANY_SOURCE and op.src >= self.nranks:
-            raise MPIUsageError(
-                f"rank {rs.rank} receives from nonexistent rank {op.src}")
-        req = Request("recv", rs.rank)
-        req.peer = op.src
-        pr = _PendingRecv(self._pr_seq, rs.rank, op.src, op.tag, op.comm_id,
-                          rs.clock, req)
-        self._pr_seq += 1
-        self._match.add_recv(pr)
-        self._drain(rs.rank, relaxed=False)
-        return req
-
     # -- matching ------------------------------------------------------------
-    #: arrival estimation reads the estimate cached at send time (see
-    #: ``_apply_send``); kept as a static method for the scalar drain's
-    #: tie-break lambda and external callers
-    _arrival_est = staticmethod(arrival_est)
-
-    def _drain(self, dst: int, relaxed: bool) -> bool:
-        """Match pending receives at ``dst`` against channel messages.
-
-        This is the *reference* (scalar-mode) drain; batch mode rebinds
-        ``self._drain`` to :func:`repro.sim.matching.drain_batch`, which
-        must commit the same matches in the same order.
-
-        Receives are scanned in post order.  A directed receive matches the
-        first tag-compatible message in its channel immediately (FIFO order
-        makes this deterministic).  A wildcard receive matches its
-        earliest-arriving candidate only when that choice is *safe* (no
-        other rank could still produce an earlier arrival); an unsafe (or
-        not-yet-matchable) wildcard freezes matching for later receives on
-        its communicator — the (src, comm) pairs it could take a message
-        from — while receives on other communicators keep matching.
-        Returns True if any match was committed.
-
-        One left-to-right pass is exhaustive: committing a match only ever
-        *removes* a message and a receive, so receives already passed can
-        never become matchable within the same drain, and commits happen
-        in strictly increasing post order.
-        """
-        m = self._match
-        any_progress = False
-        frozen_comms: set = set()
-        it, _ = m.drain_buckets(dst)
-        for pr in it:
-            if pr.matched or pr.comm_id in frozen_comms:
-                continue
-            if pr.src == ANY_SOURCE:
-                cands = m.candidates_for(pr)
-                if not cands:
-                    # nothing available yet; this wildcard blocks any
-                    # later recv on its communicator from stealing what
-                    # it might match
-                    frozen_comms.add(pr.comm_id)
-                    continue
-                best = min(cands, key=lambda msg: (
-                    arrival_est(msg, pr.post_time), msg.src, msg.seq))
-                if not relaxed:
-                    arr = arrival_est(best, pr.post_time)
-                    if arr > self._horizon(dst):
-                        self._deferred_dsts.add(dst)
-                        frozen_comms.add(pr.comm_id)
-                        continue
-                self._commit_match(pr, best)
-                any_progress = True
-            else:
-                msg = m.first_compatible_in_channel(
-                    (pr.src, dst, pr.comm_id), pr.tag)
-                if msg is None:
-                    continue
-                self._commit_match(pr, msg)
-                any_progress = True
-        return any_progress
-
     def _commit_match(self, pr: _PendingRecv, msg: _Message) -> None:
         self.matches_committed += 1
         model = self.model
@@ -804,41 +559,6 @@ class Engine:
         rs.clock = max(rs.clock, t)
         return (i, requests[i].status)
 
-    # -- collectives ------------------------------------------------------------
-    def _apply_collective(self, rs: _RankState, op: Collective):
-        if rs.rank not in op.group:
-            raise MPIUsageError(
-                f"rank {rs.rank} called collective on group excluding it")
-        seq = rs.coll_seq.get(op.comm_id, 0)
-        rs.coll_seq[op.comm_id] = seq + 1
-        key = (op.comm_id, seq)
-        inst = self._coll.get(key)
-        if inst is None:
-            inst = _CollInstance(op.key, op.group, op.nbytes)
-            self._coll[key] = inst
-        else:
-            if inst.group != op.group or inst.key != op.key:
-                raise MPIUsageError(
-                    f"collective mismatch on comm {op.comm_id} seq {seq}: "
-                    f"{inst.key}/{inst.group} vs {op.key}/{op.group}")
-            inst.nbytes = max(inst.nbytes, op.nbytes)
-        inst.arrivals[rs.rank] = rs.clock
-        inst.nleft -= 1  # kept in step for the batch executor's countdown
-        if len(inst.arrivals) == len(inst.group):
-            start = max(inst.arrivals.values())
-            inst.completion = start + self.model.collective_cost(
-                inst.key, len(inst.group), inst.nbytes)
-            # the caller resumes immediately; blocked participants are
-            # woken through the dirty set on the next scheduler pass
-            for r in inst.arrivals:
-                if r != rs.rank:
-                    self._dirty.add(r)
-            rs.clock = inst.completion
-            return None
-        rs.blocked_kind = "collective"
-        rs.blocked_data = inst
-        return _BLOCK
-
     # -- resumption -------------------------------------------------------------
     def _try_resume(self, rs: _RankState, relaxed: bool) -> bool:
         """Attempt to unblock one rank; True if it became READY."""
@@ -862,26 +582,6 @@ class Engine:
             raise AssertionError(rs.blocked_kind)
         self._make_ready(rs)
         return True
-
-    def _resume_dirty(self) -> None:
-        """Wake blocked ranks flagged by completions since the last pass.
-
-        A WaitAny rank holding a complete request stays dirty even when
-        it cannot resume yet: it is waiting on the safety horizon, which
-        moves whenever any other rank advances, so it must be polled.
-        Everything else leaves the dirty set until a new completion
-        re-flags it.
-        """
-        for rank in sorted(self._dirty):
-            rs = self._ranks[rank]
-            if rs.state != BLOCKED:
-                self._dirty.discard(rank)
-                continue
-            if self._try_resume(rs, relaxed=False):
-                self._dirty.discard(rank)
-            elif not (rs.blocked_kind == "waitany"
-                      and any(r.complete for r in rs.blocked_data)):
-                self._dirty.discard(rank)
 
     def _resume_resumable(self, relaxed: bool) -> bool:
         """Full sweep over all blocked ranks (the rare all-blocked path)."""

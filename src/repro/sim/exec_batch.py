@@ -1,38 +1,33 @@
 """Execution layer of the engine core: the cohort-batched main loop.
 
-The reference (scalar) executor dispatches one yielded op at a time
-through ``Engine._step`` / ``Engine._apply`` — two Python calls plus an
-``isinstance`` chain per op.  :func:`run_batch` replaces that with a
-single flattened loop that processes each runnable rank's *op cohort*
-(the run of operations it issues before blocking — all at the same
-scheduler timestamp) in one frame:
+:func:`run_batch` is the engine's only executor.  It processes each
+runnable rank's *op cohort* (the run of operations it issues before
+blocking — all at the same scheduler timestamp) in one frame:
 
 * class-identity dispatch on the concrete op classes with every hot
   container and model query bound to a local;
 * the fast-path send/receive handlers inline the protocol arithmetic
   for the common regime (no fault injection, flat fabric, no wire
   queueing, no overload accounting) and cache each message's fixed
-  arrival estimate for the matching layer; any other regime falls back
-  to the engine's reference handlers mid-loop;
+  arrival estimate for the matching layer; any other regime goes
+  through the engine's ``_apply_send`` mid-loop;
 * collective completion evaluates ``max`` over the whole
   ``_CollInstance`` arrival cohort at once (numpy-reduced for large
   groups — float ``max`` is associative, so the reduction order cannot
   change the result);
 * dirty-set wakeup is folded into the loop top with the per-kind
-  resume arithmetic inlined.
+  resume arithmetic inlined;
+* crash faults are checked before every op, as a crashed rank must stop
+  at the first op at or past its plan crash time;
+* ``repro pipeline --profile`` times the same loop by phase
+  (schedule/match/execute/fabric), behind one local flag.
 
 Byte-identity discipline: every float operation happens in the same
-order as the reference executor, counters (``steps`` etc.) are bumped
-at the same program points, and anything the fast path cannot mirror
-exactly (fault fates, routed fabrics, wire queueing, overload) is
-delegated to the very same reference code.  Runs with crash faults use
-the reference loop outright (the per-op crash check is structural).
-The golden suites under ``tests/sim/golden/`` and the Hypothesis
-equivalence tests pin this bit-for-bit.
-
-:func:`run_profiled` is the instrumented variant behind
-``repro pipeline --profile``: the reference loop structure with
-per-phase (schedule/match/execute/fabric) wall-time attribution.
+order as the one-op-at-a-time reference loop, and counters (``steps``
+etc.) are bumped at the same program points.  The golden suites under
+``tests/sim/golden/`` pin this bit-for-bit, and the Hypothesis
+equivalence tests diff this loop against the reference loop kept as a
+test oracle (``tests/sim/oracle.py``).
 """
 
 from __future__ import annotations
@@ -46,16 +41,13 @@ from repro.sim.matching import _Message, _PendingRecv
 from repro.sim.network import FlatFabric, NetworkModel
 from repro.sim.ops import (ANY_SOURCE, Collective, Compute, PostRecv,
                            PostSend, Test, WaitAll, WaitAny)
-from repro.sim.requests import Request, Status
+from repro.sim.requests import Request
 from repro.sim.sched import BLOCKED, DONE, READY
 
 try:
     import numpy as _np
 except ImportError:  # pragma: no cover - numpy is part of the toolchain
     _np = None
-
-#: sentinel returned by the generic ``Engine._apply`` when a rank blocks
-_BLOCK = object()
 
 #: group size at which the numpy reduction overtakes builtin ``max``
 #: (measured: ``np.fromiter`` over dict values carries ~4-5us of fixed
@@ -73,9 +65,8 @@ class _CollInstance:
         self.nbytes = nbytes
         self.arrivals: Dict[int, float] = {}
         self.completion: Optional[float] = None
-        #: countdown of group members yet to arrive; both executors
-        #: decrement it, so ``nleft == len(group) - len(arrivals)``
-        #: holds regardless of which path handled each arrival
+        #: countdown of group members yet to arrive, kept equal to
+        #: ``len(group) - len(arrivals)``
         self.nleft = len(group)
 
 
@@ -93,10 +84,52 @@ def _group_start(arrivals: Dict[int, float]) -> float:
     return max(arrivals.values())
 
 
+def _install_phase_timers(eng, acc: Dict[str, float], nested: list):
+    """Wrap ``eng._drain`` and ``eng._routed_arrival`` so their wall
+    time lands in ``acc["match"]`` / ``acc["fabric"]``.  Each call also
+    adds to ``nested[0]``, which the loop subtracts from the enclosing
+    schedule/execute interval."""
+    perf = time.perf_counter
+
+    def timed(fn, phase):
+        def wrapper(*args, **kwargs):
+            t0 = perf()
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                dt = perf() - t0
+                acc[phase] += dt
+                nested[0] += dt
+        return wrapper
+
+    eng._drain = timed(eng._drain, "match")
+    eng._routed_arrival = timed(eng._routed_arrival, "fabric")
+
+
 def run_batch(eng) -> None:
     """Drive ``eng`` (an :class:`repro.sim.engine.Engine`) to completion
     with the cohort-batched executor.  Caller holds the run span and
-    flushes counters; this function owns the loop."""
+    flushes counters; this function owns the loop.
+
+    With ``eng.profile`` set, wall time is attributed to four phases,
+    published as ``engine.profile.<phase>_s``:
+
+    * ``schedule`` — deferred drains, dirty-set wakeup and the ready pop
+      at the loop top (minus nested match time);
+    * ``match`` — every drain call, wherever it is triggered from;
+    * ``fabric`` — routed per-link FIFO folds (``_routed_arrival``);
+    * ``execute`` — a rank's op cohort, minus nested match/fabric time.
+
+    Timer placement is the only difference a profiled run makes.
+    """
+    prof = eng.profile
+    if prof:
+        perf = time.perf_counter
+        acc = {"schedule": 0.0, "match": 0.0, "execute": 0.0,
+               "fabric": 0.0}
+        nested = [0.0]
+        # before the loop binds eng._drain to a local
+        _install_phase_timers(eng, acc, nested)
     ranks = eng._ranks
     nranks = eng.nranks
     sched = eng._sched
@@ -113,6 +146,7 @@ def run_batch(eng) -> None:
     step_limit = max_steps if max_steps is not None else (1 << 62)
     faults = eng._faults
     no_faults = faults is None
+    crash_at = eng._crash_at
 
     model = eng.model
     match = eng._match
@@ -138,7 +172,7 @@ def run_batch(eng) -> None:
     colls = eng._coll
 
     # fast sends only in the regime whose arithmetic the inline path
-    # mirrors exactly; everything else goes through the reference handler
+    # mirrors exactly; everything else goes through Engine._apply_send
     fast_send = (no_faults and not eng._routed and not model.wire_queueing
                  and model.overload_drain_rate is None)
     fabric = getattr(model, "fabric", None)
@@ -185,6 +219,9 @@ def run_batch(eng) -> None:
             if steps > step_limit:
                 raise SimulationError(
                     f"exceeded max_steps={max_steps}; likely livelock")
+            if prof:
+                t0 = perf()
+                nested[0] = 0.0
             if deferred:
                 for dst in sorted(deferred):
                     memo = defer_memo.get(dst)
@@ -242,7 +279,7 @@ def run_batch(eng) -> None:
                                 heappush(ready, entry)
                     else:
                         # waitany needs the safety horizon: use the
-                        # reference resume, with its stay-dirty rule
+                        # engine's resume, with the stay-dirty rule
                         if not eng._try_resume(r, False) and \
                                 r.blocked_kind == "waitany" and \
                                 any(q.completion is not None
@@ -291,6 +328,8 @@ def run_batch(eng) -> None:
                 elif ready:
                     heappop(ready)
                     rs = hr
+            if prof:
+                acc["schedule"] += perf() - t0 - nested[0]
             if rs is None:
                 if eng._done_count == nranks:
                     break
@@ -309,13 +348,23 @@ def run_batch(eng) -> None:
             # to draining after every post.  The flush must land before
             # anything that reads completion state: WaitAll / WaitAny /
             # Test evaluation, a send to self (its unexpected-buffer
-            # charge checks our own receive queue), the generic
-            # fallback, and rank completion.
+            # charge checks our own receive queue), a crash, and rank
+            # completion.
+            if prof:
+                t0 = perf()
+                nested[0] = 0.0
             gen_send = rs.gen.send
             value = rs.pending_value
             rs.pending_value = None
             recv_pending = False
             while True:
+                if crash_at is not None and \
+                        rs.clock >= crash_at[rs.rank]:
+                    if recv_pending:
+                        recv_pending = False
+                        drain(rs.rank, False)
+                    eng._crash_rank(rs)
+                    break
                 steps += 1
                 if steps > step_limit:
                     raise SimulationError(
@@ -534,27 +583,10 @@ def run_batch(eng) -> None:
                     else:
                         value = (False, None)
                     continue
-                # unknown concrete class: op subclasses and junk go
-                # through the reference dispatcher (isinstance checks,
-                # usage errors).  Sync the locally-tracked counters so
-                # the reference handlers see and leave consistent state.
-                if recv_pending:
-                    recv_pending = False
-                    drain(rs.rank, False)
-                if fast_send:
-                    eng._msg_seq = msg_seq
-                eng._pr_seq = pr_seq
-                eng.messages_sent += messages_sent
-                eng.bytes_sent += bytes_sent
-                messages_sent = 0
-                bytes_sent = 0
-                value = eng._apply(rs, op)
-                if fast_send:
-                    msg_seq = eng._msg_seq
-                pr_seq = eng._pr_seq
-                if value is _BLOCK:
-                    rs.state = BLOCKED
-                    break
+                raise MPIUsageError(
+                    f"rank {rs.rank} yielded non-op {op!r}")
+            if prof:
+                acc["execute"] += perf() - t0 - nested[0]
     finally:
         eng.steps += steps
         eng.messages_sent += messages_sent
@@ -562,86 +594,6 @@ def run_batch(eng) -> None:
         if fast_send:
             eng._msg_seq = msg_seq
         eng._pr_seq = pr_seq
+        if prof:
+            eng.profile_phases = dict(acc)
 
-
-def run_profiled(eng) -> None:
-    """Reference-structured loop with per-phase wall-time attribution.
-
-    Phases (wall seconds, exposed as ``engine.profile.<phase>_s``):
-
-    * ``schedule`` — deferred-drain bookkeeping, dirty-set wakeup and
-      ready-heap pops at the loop top (minus nested match time);
-    * ``match`` — every ``Engine._drain`` call (candidate enumeration,
-      horizon checks, commits), wherever it is triggered from;
-    * ``fabric`` — routed per-link FIFO folds (``_routed_arrival``);
-    * ``execute`` — generator stepping and op handling, minus the
-      nested match/fabric time.
-
-    Timer placement is the only difference from the reference loop:
-    the same ``_step``/``_drain`` code runs, so results stay
-    byte-identical.  Totals land on ``eng.profile_phases`` and are
-    published by ``Engine._flush_counters``.
-    """
-    perf = time.perf_counter
-    acc = {"schedule": 0.0, "match": 0.0, "execute": 0.0, "fabric": 0.0}
-    nested = [0.0]
-
-    real_drain = eng._drain
-
-    def timed_drain(dst, relaxed):
-        t0 = perf()
-        try:
-            return real_drain(dst, relaxed)
-        finally:
-            dt = perf() - t0
-            acc["match"] += dt
-            nested[0] += dt
-
-    eng._drain = timed_drain
-
-    real_routed = eng._routed_arrival
-
-    def timed_routed(rs, op, inject):
-        t0 = perf()
-        try:
-            return real_routed(rs, op, inject)
-        finally:
-            dt = perf() - t0
-            acc["fabric"] += dt
-            nested[0] += dt
-
-    eng._routed_arrival = timed_routed
-
-    try:
-        while True:
-            eng.steps += 1
-            if eng.max_steps is not None and eng.steps > eng.max_steps:
-                raise SimulationError(
-                    f"exceeded max_steps={eng.max_steps}; likely livelock")
-            t0 = perf()
-            nested[0] = 0.0
-            if eng._deferred_dsts:
-                for dst in sorted(eng._deferred_dsts):
-                    eng._deferred_dsts.discard(dst)
-                    eng._drain(dst, False)
-            if eng._dirty:
-                eng._resume_dirty()
-            rs = eng._pop_ready()
-            acc["schedule"] += perf() - t0 - nested[0]
-            if rs is not None:
-                t1 = perf()
-                nested[0] = 0.0
-                eng._step(rs)
-                acc["execute"] += perf() - t1 - nested[0]
-                continue
-            if eng._done_count == eng.nranks:
-                break
-            eng.deadlock_checks += 1
-            if eng._relaxed_progress():
-                continue
-            if eng.crashed_ranks:
-                eng._starve_blocked()
-                break
-            eng._raise_deadlock()
-    finally:
-        eng.profile_phases = dict(acc)

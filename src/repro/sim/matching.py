@@ -13,17 +13,18 @@ the simulator, split out of the monolithic engine:
   float arithmetic runs once, in the same operation order as the
   original per-query computation: bit-identical by construction);
 * a per-``(dst, comm)`` **wildcard candidate heap** of channel heads
-  ordered by the scalar tie-break tuple ``(est, src, seq)``, used by
-  the batch executor to answer ANY_SOURCE/ANY_TAG queries in O(log n)
+  ordered by the canonical tie-break tuple ``(est, src, seq)``, used
+  by :func:`drain_batch` to answer ANY_SOURCE/ANY_TAG queries in O(log n)
   instead of scanning every live channel.  Rendezvous heads (whose
   estimate depends on the receive post time) are counted per
   ``(dst, comm)``; any query that could involve one — or a
   tag-selective wildcard — falls back to the reference scan.
 
-The candidate heap is bookkeeping only: both engine modes maintain it,
-but only the batch drain reads it.  The scalar drain keeps the
-reference scan (`candidates_for` + ``min``), which is what the
-Hypothesis equivalence suite compares the heap against.
+The candidate heap is bookkeeping only: it is always maintained, but
+only :func:`drain_batch` reads it.  The reference scan
+(``candidates_for`` + the policy's choice) lives in
+:func:`repro.sim.policy.drain_policy`, which the test oracle binds and
+the Hypothesis equivalence suite compares the heap against.
 """
 
 from __future__ import annotations
@@ -489,11 +490,12 @@ class MatchIndex:
 
 
 def drain_batch(self, dst: int, relaxed: bool) -> bool:
-    """Batch-mode drain: match pending receives at ``dst``.
+    """Candidate-heap drain: match pending receives at ``dst``.
 
-    Bound as ``Engine._drain`` when the engine runs in batch mode (see
-    ``Engine.run``); ``self`` is the engine.  Semantics are identical
-    to the reference scan in :meth:`Engine._drain` — receives scanned in
+    Bound as ``Engine._drain`` under the canonical schedule policy;
+    ``self`` is the engine.  Semantics are identical to the reference
+    scan :func:`repro.sim.policy.drain_policy` under
+    :class:`~repro.sim.policy.CanonicalPolicy` — receives scanned in
     post order, directed receives match their channel's first
     tag-compatible message, wildcard receives match their earliest
     candidate only when horizon-safe, an unsafe wildcard freezes its

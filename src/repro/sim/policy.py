@@ -5,10 +5,11 @@ other step is forced by MPI semantics and virtual time:
 
 * **wildcard match selection** — which candidate message an ANY_SOURCE
   receive takes when several channels hold a compatible message
-  (``Engine._drain`` / :func:`repro.sim.matching.drain_batch`);
+  (:func:`repro.sim.matching.drain_batch` / :func:`drain_policy`);
 * **cohort ordering** — which rank runs next when several runnable
-  ranks share the same virtual clock
-  (:meth:`repro.sim.sched.Scheduler.pop_ready`).
+  ranks share the same virtual clock (the ready pop in
+  :func:`repro.sim.exec_batch.run_batch` /
+  :meth:`repro.sim.sched.Scheduler.pop_ready_policy`).
 
 The canonical policy pins both to one deterministic order (earliest
 arrival estimate, then source, then sequence number; lowest rank first)
@@ -31,9 +32,10 @@ Determinism contract: a (policy, seed) pair fully determines the run.
 RNG draws happen only at *actual* choice points — a singleton candidate
 set or cohort consumes no draw, and deferral/freeze decisions (which
 stay canonical: they gate *when* a wildcard may match, not *what* it
-matches) consume no draw — so the scalar and batch executors, which
-reach the same choice points in the same order, replay the same draw
-sequence and stay equivalent under any seed.
+matches) consume no draw — so the engine and the reference loop the
+test suites diff it against (``tests/sim/oracle.py``), which reach the
+same choice points in the same order, replay the same draw sequence and
+stay equivalent under any seed.
 """
 
 from __future__ import annotations
@@ -90,7 +92,8 @@ class CanonicalPolicy(SchedulerPolicy):
 
     The engine never calls these methods on its hot paths — canonical
     runs keep the original drain/pop code verbatim — but they implement
-    the same order so harnesses can drive any policy uniformly.
+    the same order, so :func:`drain_policy` under this policy is the
+    reference scan the test oracle runs.
     """
 
     name = "canonical"
@@ -206,26 +209,30 @@ def resolve_policy(policy=None,
 def drain_policy(self, dst: int, relaxed: bool) -> bool:
     """Policy-mode drain: match pending receives at ``dst``.
 
-    Bound as ``Engine._drain`` (for *both* executors) when the engine
-    runs under a non-canonical policy; ``self`` is the engine.  The
-    structure is the reference scan of ``Engine._drain`` with one
-    change: once a wildcard receive is *allowed* to match, the policy —
-    not the canonical minimum — picks which candidate it takes.
+    Bound as ``Engine._drain`` when the engine runs under a
+    non-canonical policy; ``self`` is the engine.  It is the reference
+    scan — receives in post order, candidates enumerated per channel —
+    and once a wildcard receive is *allowed* to match, the policy picks
+    which candidate it takes.  Under :class:`CanonicalPolicy` that is
+    the ``(est, src, seq)`` minimum :func:`repro.sim.matching.drain_batch`
+    computes from its candidate heaps, which is why the test oracle
+    binds this drain for canonical runs too.
 
     Everything that gates **when** a match may happen stays canonical:
 
     * the safety horizon is checked against the earliest candidate
-      arrival, exactly as the reference drain does, so a wildcard still
+      arrival, exactly as the canonical drain does, so a wildcard still
       only commits once no other rank could produce an earlier
       candidate — by which point every legal alternative the policy
       should see is in the candidate set;
     * an unmatchable or deferred wildcard freezes its communicator for
       later receives, preserving non-overtaking order.
 
-    Both executors bind this same function (the batch candidate heap
-    answers *canonical-minimum* queries, which a policy drain cannot
-    use), so the candidate enumeration — and therefore the policy's RNG
-    draw sequence — is identical in scalar and batch mode.
+    The engine binds this scan rather than ``drain_batch`` under a
+    policy because the candidate heaps answer *canonical-minimum*
+    queries only; the oracle binds the same function, so the candidate
+    enumeration — and therefore the policy's RNG draw sequence — is
+    identical in both.
     """
     m = self._match
     policy = self.policy

@@ -15,10 +15,10 @@ split out of the monolithic engine (see ``docs/ARCHITECTURE.md``):
   horizon-unsafe and must be re-drained at the top of the next pass.
 
 The scheduler knows nothing about messages or matching; it sees only
-rank states (:class:`repro.sim.engine._RankState`) and clocks.  Both
-engine modes (``scalar`` and ``batch``) share one scheduler instance —
-its containers are plain heaps/sets so the batch executor can bind them
-as locals in its hot loop without changing semantics.
+rank states (:class:`repro.sim.engine._RankState`) and clocks.  Its
+containers are plain heaps/sets so the executor
+(:func:`repro.sim.exec_batch.run_batch`, which inlines the canonical
+ready pop) can bind them as locals in its hot loop.
 """
 
 from __future__ import annotations
@@ -61,33 +61,18 @@ class Scheduler:
             push(self.ready_heap, (0.0, rs.rank))
             push(self.clock_heap, (0.0, rs.rank))
 
-    def pop_ready(self) -> Optional[object]:
-        """Smallest-(clock, rank) READY rank via the lazy-deletion heap.
-
-        An entry is pushed whenever a rank becomes READY; it is stale if
-        the rank has since been stepped (state changed) or was re-queued
-        at a later clock.
-        """
-        heap = self.ready_heap
-        ranks = self.ranks
-        while heap:
-            clock, rank = heapq.heappop(heap)
-            rs = ranks[rank]
-            if rs.state == READY and rs.clock == clock:
-                return rs
-        return None
-
     def pop_ready_policy(self, policy) -> Optional[object]:
-        """Policy-ordered variant of :meth:`pop_ready`.
+        """Policy-ordered pop of the next READY rank.
 
-        Both executors call this instead of :meth:`pop_ready` when the
-        engine runs under a non-canonical
+        The executor calls this instead of its inline smallest-(clock,
+        rank) pop when the engine runs under a non-canonical
         :class:`~repro.sim.policy.SchedulerPolicy`: all READY ranks tied
         at the smallest clock are collected (the full legal cohort —
         duplicate lazy heap entries deduplicate through the rank set),
         the policy picks one, and the rest are pushed back untouched.  A
-        singleton cohort consumes no policy decision, keeping the RNG
-        draw sequence identical across executors.
+        singleton cohort consumes no policy decision, so the RNG draw
+        sequence depends only on the cohorts reached, not on how the
+        executor reaches them.
         """
         heap = self.ready_heap
         ranks = self.ranks

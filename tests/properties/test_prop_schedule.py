@@ -12,18 +12,21 @@ require:
   duplicated);
 * per-rank operation counts match the canonical run (policies reorder
   execution, they do not change the program);
-* the scalar and batch executors are bit-identical under a shared
-  (policy, seed) — the same contract the golden suites pin for
-  canonical, extended across the schedule space.
+* the engine and the reference oracle (``tests/sim/oracle.py``) are
+  bit-identical — makespans, per-rank clocks and every engine counter —
+  under a shared (policy, seed): the same contract the golden suites
+  pin for canonical, extended across the schedule space.
 """
 
 import hypothesis.strategies as st
 from hypothesis import given, settings
 
+from repro import obs
 from repro.sim.engine import Engine
 from repro.sim.network import make_model
 from repro.sim.ops import (ANY_SOURCE, ANY_TAG, Collective, Compute,
                            PostRecv, PostSend, WaitAll)
+from tests.sim.oracle import executor
 
 _SIZES = [1, 256, 1 << 17]
 
@@ -92,16 +95,19 @@ def _rank_program(plan, rank, counts):
 
 def _run(plan, policy=None, seed=None, mode="batch"):
     eng = Engine(plan["nranks"], make_model(plan["preset"]),
-                 max_steps=200_000, mode=mode, schedule_policy=policy,
+                 max_steps=200_000, schedule_policy=policy,
                  schedule_seed=seed)
     counts = [0] * plan["nranks"]
-    total = eng.run([_rank_program(plan, r, counts)
-                     for r in range(plan["nranks"])])
+    with executor(mode), obs.instrumented() as inst:
+        total = eng.run([_rank_program(plan, r, counts)
+                         for r in range(plan["nranks"])])
     return {"total_hex": total.hex(),
             "per_rank_hex": [eng.now(r).hex()
                              for r in range(plan["nranks"])],
             "messages": eng.messages_sent,
-            "op_counts": counts}
+            "op_counts": counts,
+            "counters": {r["name"]: r["value"]
+                         for r in inst.counter_records()}}
 
 
 _policy_seeds = st.one_of(

@@ -150,8 +150,8 @@ class TestCounterFlushOrder:
     def test_flush_emits_counters_in_sorted_name_order(self):
         """`_flush_counters` calls ``obs.count`` in sorted-name order:
         the collector's counter dict (and anything streaming per-call)
-        sees a byte-stable sequence regardless of link discovery order,
-        fault-counter insertion order, or engine mode."""
+        sees a byte-stable sequence regardless of link discovery order
+        or fault-counter insertion order."""
         from repro import obs
         from repro.apps import make_app
         from repro.mpi.world import run_spmd

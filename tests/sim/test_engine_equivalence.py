@@ -1,14 +1,17 @@
-"""Property-based scalar/batch equivalence.
+"""Property-based engine/oracle equivalence.
 
-The cohort-batched executor (``REPRO_ENGINE_MODE=batch``) is contracted
-to be bit-identical to the reference scalar loop.  The golden suites pin
-a fixed grid of real apps; this suite drives randomly generated small
-programs through *both* executors and requires identical makespans,
-per-rank clocks, per-link contention stats, and engine counter totals —
-exercising exactly the machinery the golden grid cannot enumerate:
-wildcard candidate heaps vs the reference scan, rendezvous fallbacks,
-mixed directed/wildcard communicators, throttle charging, WaitAny
-horizon deferrals, and collective cohort completion.
+The engine's cohort-batched executor (``batch``) is contracted to be
+bit-identical to the one-op-at-a-time reference loop kept in
+``oracle.py`` (``scalar``).  The golden suites pin a fixed grid of real
+apps; this suite drives randomly generated small programs through
+*both* and requires identical makespans, per-rank clocks, per-link
+contention stats, and engine counter totals — exercising exactly the
+machinery the golden grid cannot enumerate: wildcard candidate heaps vs
+the reference scan, rendezvous fallbacks, mixed directed/wildcard
+communicators, throttle charging, WaitAny horizon deferrals, collective
+cohort completion, per-op crash checks (with and without message drops)
+and the ``--profile`` phase timers.  The profile's wall-time counters
+(``engine.profile.*``) are the one thing allowed to differ.
 
 Programs are deadlock-free by construction: each phase posts all
 nonblocking receives, then all sends, then waits on everything, with an
@@ -23,11 +26,13 @@ import hypothesis.strategies as st
 from hypothesis import given, settings
 
 from repro import obs
+from repro.faults import FaultInjector, FaultPlan
 from repro.sim.engine import Engine
 from repro.sim.network import make_model
 from repro.sim.ops import (ANY_SOURCE, ANY_TAG, Collective, Compute,
                            PostRecv, PostSend, WaitAll, WaitAny)
 from repro.topology import make_topology_model
+from tests.sim.oracle import executor
 
 #: payload sizes crossing the presets' eager/rendezvous thresholds
 _SIZES = [1, 64, 4096, 1 << 15, 1 << 20]
@@ -68,8 +73,16 @@ def plans(draw):
             "coll": draw(st.sampled_from(
                 [None, "barrier", "allreduce", "bcast"])),
         })
+    # crash schedule: up to two ranks stop at a plan time (0.0 crashes
+    # before the first op); drops exercise the fault send path alongside
+    crashes = draw(st.lists(
+        st.tuples(st.integers(0, nranks - 1),
+                  st.sampled_from([0.0, 1e-6, 2e-5, 1e-4])),
+        max_size=2, unique_by=lambda c: c[0]))
+    drop_rate = draw(st.sampled_from([0.0, 0.2]))
     return {"nranks": nranks, "preset": preset, "routed": routed,
-            "phases": phases}
+            "phases": phases, "crashes": tuple(crashes),
+            "drop_rate": drop_rate, "profile": draw(st.booleans())}
 
 
 def _rank_program(plan, rank):
@@ -115,18 +128,34 @@ def _model_for(plan):
     return base
 
 
+def _faults_for(plan):
+    if not plan["crashes"] and not plan["drop_rate"]:
+        return None
+    # a generous retry budget: no message is ever lost outright, so a
+    # crash-free plan cannot deadlock
+    return FaultInjector(FaultPlan(seed=3, drop_rate=plan["drop_rate"],
+                                   max_retries=12,
+                                   crashes=plan["crashes"]))
+
+
 def _run(plan, mode):
     eng = Engine(plan["nranks"], _model_for(plan), max_steps=200_000,
-                 mode=mode)
-    with obs.instrumented() as inst:
+                 faults=_faults_for(plan), profile=plan["profile"])
+    with executor(mode), obs.instrumented() as inst:
         total = eng.run([_rank_program(plan, r)
                          for r in range(plan["nranks"])])
     counters = {r["name"]: r["value"] for r in inst.counter_records()}
+    profiled = {name for name in counters
+                if name.startswith("engine.profile.")}
     return {
         "total_hex": total.hex(),
         "per_rank_hex": [eng.now(r).hex() for r in range(plan["nranks"])],
         "link_stats": eng.link_stats,
-        "counters": counters,
+        "crashed": eng.crashed_ranks,
+        "starved": eng.starved_ranks,
+        "counters": {name: value for name, value in counters.items()
+                     if name not in profiled},
+        "profiled": profiled,
     }
 
 
@@ -138,4 +167,11 @@ def test_scalar_and_batch_executors_are_bit_identical(plan):
     assert batch["total_hex"] == scalar["total_hex"]
     assert batch["per_rank_hex"] == scalar["per_rank_hex"]
     assert batch["link_stats"] == scalar["link_stats"]
+    assert batch["crashed"] == scalar["crashed"]
+    assert batch["starved"] == scalar["starved"]
     assert batch["counters"] == scalar["counters"]
+    # the engine times all four phases when asked; the oracle never does
+    assert batch["profiled"] == ({
+        "engine.profile.execute_s", "engine.profile.fabric_s",
+        "engine.profile.match_s", "engine.profile.schedule_s"}
+        if plan["profile"] else set())

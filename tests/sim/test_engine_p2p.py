@@ -288,6 +288,18 @@ class TestErrors:
         with pytest.raises(MPIUsageError):
             run(2, [prog(), iter(())])
 
+    def test_non_op_yield_names_the_rank(self):
+        def idle():
+            yield Compute(1e-6)
+
+        def prog():
+            yield Compute(1e-6)
+            yield 42
+
+        with pytest.raises(MPIUsageError,
+                           match=r"^rank 1 yielded non-op 42$"):
+            run(2, [idle(), prog()])
+
     def test_deadlock_both_blocking_recv(self):
         def prog(peer):
             req = yield PostRecv(src=peer)

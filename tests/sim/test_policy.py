@@ -3,8 +3,8 @@
 The policy layer (``repro.sim.policy``) must (a) reject bad specs with
 clear ValueErrors at *construction* time, (b) leave canonical runs
 byte-identical to an engine that never heard of policies, (c) make
-every (policy, seed) pair a fully deterministic schedule in both
-executors, and (d) actually find the seeded ``race`` fixture's
+every (policy, seed) pair a fully deterministic schedule on the engine
+and the reference oracle, and (d) actually find the seeded ``race`` fixture's
 schedule-dependent deadlock.
 """
 
@@ -19,24 +19,15 @@ from repro.sim.network import make_model
 from repro.sim.policy import (POLICIES, SEEDED_POLICIES,
                               AdversarialDelayPolicy, CanonicalPolicy,
                               RandomPolicy, resolve_policy)
+from tests.sim.oracle import MODES, executor
 
 
 def _race(policy=None, seed=None, nranks=4, cls="S", platform="simple",
-          mode=None):
-    import os
+          mode="batch"):
     prog = make_app("race", nranks, cls)
-    prior = os.environ.get("REPRO_ENGINE_MODE")
-    if mode is not None:
-        os.environ["REPRO_ENGINE_MODE"] = mode
-    try:
+    with executor(mode):
         return run_spmd(prog, nranks, model=make_model(platform),
                         schedule_policy=policy, schedule_seed=seed)
-    finally:
-        if mode is not None:
-            if prior is None:
-                os.environ.pop("REPRO_ENGINE_MODE", None)
-            else:
-                os.environ["REPRO_ENGINE_MODE"] = prior
 
 
 class TestResolvePolicy:
@@ -83,15 +74,6 @@ class TestResolvePolicy:
 
 
 class TestEngineConstruction:
-    def test_bad_mode_rejected_at_construction(self):
-        with pytest.raises(ValueError, match="mode"):
-            Engine(2, make_model("simple"), mode="vectorized")
-
-    def test_bad_env_mode_rejected_at_construction(self, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE_MODE", "turbo")
-        with pytest.raises(ValueError, match="REPRO_ENGINE_MODE"):
-            Engine(2, make_model("simple"))
-
     def test_bad_policy_rejected_at_construction(self):
         with pytest.raises(ValueError, match="unknown schedule policy"):
             Engine(2, make_model("simple"), schedule_policy="chaos")
@@ -125,7 +107,7 @@ class TestPipelineConfigValidation:
 
 
 class TestCanonicalByteIdentity:
-    @pytest.mark.parametrize("mode", ["scalar", "batch"])
+    @pytest.mark.parametrize("mode", MODES)
     def test_explicit_canonical_matches_default(self, mode):
         base = _race(mode=mode)
         explicit = _race(policy="canonical", mode=mode)
