@@ -347,26 +347,34 @@ def cmd_pipeline(args):
     return 1 if result.degraded else 0
 
 
-def cmd_faults_template(args):
-    from repro.faults import TEMPLATE
+def cmd_template(args):
+    """``<family> template``: the family's commented example spec."""
     if args.output:
-        _write_atomic(args.output, TEMPLATE)
+        _write_atomic(args.output, args.template)
         print(f"wrote {args.output}")
     else:
-        print(TEMPLATE, end="")
+        print(args.template, end="")
     return 0
 
 
-def cmd_faults_validate(args):
-    from repro.errors import FaultPlanError
-    from repro.faults import load_fault_plan
+def cmd_validate(args):
+    """``<family> validate``: load a spec file and check every config
+    it expands to; a typed error prints INVALID and exits 1."""
+    from repro.errors import ReproError
     try:
-        plan = load_fault_plan(args.plan)
-    except FaultPlanError as exc:
+        summary = args.summarize(args.load(args.spec))
+    except ReproError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
-    print(f"OK: {plan.describe()} (digest {plan.digest()})")
+    print(f"OK: {summary}")
     return 0
+
+
+def _checked_summary(spec) -> str:
+    """A sweep plan's or campaign's summary, once every point's config
+    builds."""
+    spec.check()
+    return spec.describe()
 
 
 def cmd_faults_run(args):
@@ -397,29 +405,6 @@ def cmd_faults_run(args):
     return 1 if result.degraded else 0
 
 
-def cmd_sweep_template(args):
-    from repro.sweep import TEMPLATE as SWEEP_TEMPLATE
-    if args.output:
-        _write_atomic(args.output, SWEEP_TEMPLATE)
-        print(f"wrote {args.output}")
-    else:
-        print(SWEEP_TEMPLATE, end="")
-    return 0
-
-
-def cmd_sweep_validate(args):
-    from repro.errors import SweepPlanError
-    from repro.sweep import load_sweep_plan
-    try:
-        plan = load_sweep_plan(args.plan)
-        plan.check()
-    except SweepPlanError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
-    print(f"OK: {plan.describe()}")
-    return 0
-
-
 def cmd_sweep_run(args):
     from repro.sweep import default_workers, load_sweep_plan, run_sweep
     plan = load_sweep_plan(args.plan)
@@ -440,29 +425,6 @@ def cmd_sweep_run(args):
     if args.report:
         print(inst.report())
     return 1 if result.failed else 0
-
-
-def cmd_fuzz_template(args):
-    from repro.fuzz import TEMPLATE as FUZZ_TEMPLATE
-    if args.output:
-        _write_atomic(args.output, FUZZ_TEMPLATE)
-        print(f"wrote {args.output}")
-    else:
-        print(FUZZ_TEMPLATE, end="")
-    return 0
-
-
-def cmd_fuzz_validate(args):
-    from repro.errors import FuzzError
-    from repro.fuzz import load_campaign
-    try:
-        campaign = load_campaign(args.campaign)
-        campaign.check()
-    except FuzzError as exc:
-        print(f"INVALID: {exc}", file=sys.stderr)
-        return 1
-    print(f"OK: {campaign.describe()}")
-    return 0
 
 
 def cmd_fuzz_run(args):
@@ -519,27 +481,14 @@ def cmd_scenarios_list(args):
 
 def cmd_scenarios_show(args):
     from repro.errors import ScenarioError
-    from repro.scenarios import dumps_scenario
+    from repro.scenarios import dumps_scenario, get_scenario
     try:
-        scn = _scenario_ref(args.scenario)
-        if isinstance(scn, str):
-            from repro.scenarios import get_scenario
-            scn = get_scenario(scn)
+        scn = get_scenario(_scenario_ref(args.scenario))
     except ScenarioError as exc:
         print(f"INVALID: {exc}", file=sys.stderr)
         return 1
     print(dumps_scenario(scn), end="")
     print(f"# {scn.describe()}")
-    return 0
-
-
-def cmd_scenarios_template(args):
-    from repro.scenarios import TEMPLATE as SCENARIO_TEMPLATE
-    if args.output:
-        _write_atomic(args.output, SCENARIO_TEMPLATE)
-        print(f"wrote {args.output}")
-    else:
-        print(SCENARIO_TEMPLATE, end="")
     return 0
 
 
@@ -551,16 +500,11 @@ def cmd_scenarios_run(args):
     canonical bytes ``repro jobs result`` would return for the same
     submission.
     """
-    from repro.errors import ScenarioError
     from repro.scenarios import ScenarioJob
     from repro.sweep import default_workers, run_sweep
-    try:
-        job = ScenarioJob(scenario=_scenario_ref(args.scenario),
-                          app=args.app, nranks=args.np, cls=args.cls,
-                          platform=args.platform, mode=args.mode)
-    except ScenarioError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    job = ScenarioJob(scenario=_scenario_ref(args.scenario), app=args.app,
+                      nranks=args.np, cls=args.cls, platform=args.platform,
+                      mode=args.mode)
     workers = args.workers if args.workers > 0 else default_workers()
     with _metrics(args) as inst:
         result = run_sweep(job.to_sweep_plan(), workers=workers,
@@ -704,6 +648,10 @@ def cmd_compare(args):
 
 
 def build_parser() -> argparse.ArgumentParser:
+    from repro.faults import TEMPLATE as FAULT_TEMPLATE, load_fault_plan
+    from repro.fuzz import TEMPLATE as FUZZ_TEMPLATE, load_campaign
+    from repro.scenarios import TEMPLATE as SCENARIO_TEMPLATE
+    from repro.sweep import TEMPLATE as SWEEP_TEMPLATE, load_sweep_plan
     parser = argparse.ArgumentParser(
         prog="repro",
         description="automatic communication-benchmark generation "
@@ -812,11 +760,13 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print a commented fault-plan template")
     fp.add_argument("-o", "--output",
                     help="write the template here instead of stdout")
-    fp.set_defaults(func=cmd_faults_template)
+    fp.set_defaults(func=cmd_template, template=FAULT_TEMPLATE)
 
     fp = fsub.add_parser("validate", help="check a fault-plan file")
-    fp.add_argument("plan")
-    fp.set_defaults(func=cmd_faults_validate)
+    fp.add_argument("spec", metavar="plan")
+    fp.set_defaults(func=cmd_validate, load=load_fault_plan,
+                    summarize=lambda plan: f"{plan.describe()} "
+                                           f"(digest {plan.digest()})")
 
     fp = fsub.add_parser("run",
                          help="run an application under a fault plan and "
@@ -841,13 +791,14 @@ def build_parser() -> argparse.ArgumentParser:
                               "(the Fig. 7 grid)")
     sp.add_argument("-o", "--output",
                     help="write the template here instead of stdout")
-    sp.set_defaults(func=cmd_sweep_template)
+    sp.set_defaults(func=cmd_template, template=SWEEP_TEMPLATE)
 
     sp = ssub.add_parser("validate",
                          help="check a sweep-plan file and every point "
                               "config it expands to")
-    sp.add_argument("plan")
-    sp.set_defaults(func=cmd_sweep_validate)
+    sp.add_argument("spec", metavar="plan")
+    sp.set_defaults(func=cmd_validate, load=load_sweep_plan,
+                    summarize=_checked_summary)
 
     sp = ssub.add_parser("run",
                          help="execute every point of a sweep plan; "
@@ -883,13 +834,14 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print a commented fuzz-campaign template")
     zp.add_argument("-o", "--output",
                     help="write the template here instead of stdout")
-    zp.set_defaults(func=cmd_fuzz_template)
+    zp.set_defaults(func=cmd_template, template=FUZZ_TEMPLATE)
 
     zp = zsub.add_parser("validate",
                          help="check a fuzz-campaign file and every "
                               "point config it expands to")
-    zp.add_argument("campaign")
-    zp.set_defaults(func=cmd_fuzz_validate)
+    zp.add_argument("spec", metavar="campaign")
+    zp.set_defaults(func=cmd_validate, load=load_campaign,
+                    summarize=_checked_summary)
 
     zp = zsub.add_parser("run",
                          help="execute a fuzz campaign and classify the "
@@ -968,7 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="print a commented scenario-spec template")
     cp.add_argument("-o", "--output",
                     help="write the template here instead of stdout")
-    cp.set_defaults(func=cmd_scenarios_template)
+    cp.set_defaults(func=cmd_template, template=SCENARIO_TEMPLATE)
 
     p = sub.add_parser("serve",
                        help="run the sweep service: an HTTP/JSON job "
@@ -1065,8 +1017,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command; a typed error or an unreadable file prints one
+    ``error:`` line and exits 2, like an argv error."""
+    from repro.errors import ReproError
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ReproError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -23,12 +23,11 @@ commented example.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Dict, Optional, Tuple
 
 from repro.errors import FaultPlanError
+from repro.util import specfile
 
 
 @dataclass(frozen=True)
@@ -185,15 +184,8 @@ class FaultPlan:
 
     @classmethod
     def from_dict(cls, data: Dict[str, Any]) -> "FaultPlan":
-        if not isinstance(data, dict):
-            raise FaultPlanError(
-                f"fault plan must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise FaultPlanError(
-                f"unknown fault-plan fields: {sorted(unknown)}; "
-                f"known fields: {sorted(known)}")
+        specfile.check_keys(data, (f.name for f in fields(cls)),
+                            FaultPlanError, "fault plan", noun="fields")
         kw = dict(data)
         if "windows" in kw:
             kw["windows"] = tuple(
@@ -217,8 +209,7 @@ class FaultPlan:
 
     def digest(self) -> str:
         """Stable content address of the plan (cache-key ingredient)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return specfile.digest(self.to_dict())
 
     def describe(self) -> str:
         """One-paragraph human summary (``repro faults validate``)."""
@@ -282,42 +273,15 @@ crashes: []               # rank stops executing at a virtual time, e.g.
 
 def loads_fault_plan(text: str) -> FaultPlan:
     """Parse a plan from YAML (preferred) or JSON text."""
-    data = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise FaultPlanError(f"unparsable fault plan: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FaultPlanError(f"unparsable fault plan: {exc}") from None
-    if data is None:
-        data = {}
-    return FaultPlan.from_dict(data)
+    return FaultPlan.from_dict(
+        specfile.parse(text, FaultPlanError, "fault plan"))
 
 
 def load_fault_plan(path: str) -> FaultPlan:
     """Load a :class:`FaultPlan` from a YAML/JSON file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FaultPlanError(f"cannot read fault plan {path!r}: {exc}") \
-            from None
-    return loads_fault_plan(text)
+    return loads_fault_plan(specfile.read(path, FaultPlanError, "fault plan"))
 
 
 def dumps_fault_plan(plan: FaultPlan) -> str:
     """Serialize a plan back to YAML (JSON without PyYAML)."""
-    data = plan.to_dict()
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - JSON fallback
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return yaml.safe_dump(data, sort_keys=True)
+    return specfile.dump(plan.to_dict(), sort_keys=True)

@@ -33,13 +33,12 @@ a commented example.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import FuzzCampaignError
 from repro.sim.policy import SEEDED_POLICIES
+from repro.util import specfile
 
 #: pipeline suffixes a campaign may drive: the full Fig. 1 flow or
 #: tracing alone (cheapest: the traced run already carries the
@@ -322,17 +321,10 @@ class FuzzCampaign:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "FuzzCampaign":
         """Build and validate a campaign from parsed YAML/JSON data."""
-        if not isinstance(data, Mapping):
-            raise FuzzCampaignError(
-                f"fuzz campaign must be a mapping, got "
-                f"{type(data).__name__}")
-        known = {"name", "mode", "base", "apps", "topologies",
-                 "scenarios", "policies", "seeds", "seed0"}
-        unknown = set(data) - known
-        if unknown:
-            raise FuzzCampaignError(
-                f"unknown fuzz-campaign keys: {sorted(unknown)}; "
-                f"known keys: {sorted(known)}")
+        specfile.check_keys(data, ("name", "mode", "base", "apps",
+                                   "topologies", "scenarios", "policies",
+                                   "seeds", "seed0"),
+                            FuzzCampaignError, "fuzz campaign")
         apps = data.get("apps", [])
         if not isinstance(apps, Sequence) or isinstance(apps, (str, bytes)):
             raise FuzzCampaignError(
@@ -357,8 +349,7 @@ class FuzzCampaign:
     def digest(self) -> str:
         """Stable content address of the campaign (keys reports and the
         nightly dedup corpus)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return specfile.digest(self.to_dict())
 
     def describe(self) -> str:
         """One-line human summary (``repro fuzz validate``)."""
@@ -400,44 +391,16 @@ seed0: 0                  # ... starting here
 
 def loads_campaign(text: str) -> FuzzCampaign:
     """Parse a campaign from YAML (preferred) or JSON text."""
-    data: Optional[Any] = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise FuzzCampaignError(
-                f"unparsable fuzz campaign: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise FuzzCampaignError(
-                f"unparsable fuzz campaign: {exc}") from None
-    if data is None:
-        data = {}
-    return FuzzCampaign.from_dict(data)
+    return FuzzCampaign.from_dict(
+        specfile.parse(text, FuzzCampaignError, "fuzz campaign"))
 
 
 def load_campaign(path: str) -> FuzzCampaign:
     """Load a :class:`FuzzCampaign` from a YAML/JSON file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise FuzzCampaignError(
-            f"cannot read fuzz campaign {path!r}: {exc}") from None
-    return loads_campaign(text)
+    return loads_campaign(
+        specfile.read(path, FuzzCampaignError, "fuzz campaign"))
 
 
 def dumps_campaign(campaign: FuzzCampaign) -> str:
     """Serialize a campaign back to YAML (JSON without PyYAML)."""
-    data = campaign.to_dict()
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - JSON fallback
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return yaml.safe_dump(data, sort_keys=False)
+    return specfile.dump(campaign.to_dict(), sort_keys=False)

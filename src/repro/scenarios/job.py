@@ -12,14 +12,13 @@ and fuzz kinds already honor.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Dict, Mapping, Tuple, Union
 
 from repro.errors import ScenarioError
 from repro.scenarios.registry import get_scenario
 from repro.scenarios.spec import Scenario
+from repro.util import specfile
 
 #: job fields that are not free-form config overrides
 _OWN_KEYS = ("scenario", "app", "nranks", "cls", "platform", "mode",
@@ -129,15 +128,7 @@ class ScenarioJob:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "ScenarioJob":
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"scenario job must be a mapping, got "
-                f"{type(data).__name__}")
-        unknown = set(data) - set(_OWN_KEYS)
-        if unknown:
-            raise ScenarioError(
-                f"unknown scenario-job keys: {sorted(unknown)}; "
-                f"known keys: {sorted(_OWN_KEYS)}")
+        specfile.check_keys(data, _OWN_KEYS, ScenarioError, "scenario job")
         for need in ("scenario", "app", "nranks"):
             if need not in data:
                 raise ScenarioError(f"scenario job needs {need!r}")
@@ -154,8 +145,7 @@ class ScenarioJob:
 
     def digest(self) -> str:
         """Stable content address (dedup key on the job service)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return specfile.digest(self.to_dict())
 
     def describe(self) -> str:
         """One-line human summary."""
@@ -166,23 +156,5 @@ class ScenarioJob:
 
 def loads_scenario_job(text: str) -> ScenarioJob:
     """Parse a scenario job from YAML (preferred) or JSON text."""
-    data = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(
-                f"unparsable scenario job: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(
-                f"unparsable scenario job: {exc}") from None
-    if data is None:
-        data = {}
-    return ScenarioJob.from_dict(data)
+    return ScenarioJob.from_dict(
+        specfile.parse(text, ScenarioError, "scenario job"))

@@ -35,13 +35,12 @@ for rendered examples.  Curated named scenarios live in
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, fields, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 from repro.errors import ScenarioError
 from repro.faults.plan import FaultPlan
+from repro.util import specfile
 
 
 def _params_tuple(where: str, params) -> Optional[Tuple[Tuple[str, Any],
@@ -114,15 +113,8 @@ class AdversarySpec:
 
     @classmethod
     def from_dict(cls, data) -> "AdversarySpec":
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"an adversary must be a mapping, got "
-                f"{type(data).__name__}")
-        unknown = set(data) - {"kind", "params"}
-        if unknown:
-            raise ScenarioError(
-                f"unknown adversary keys: {sorted(unknown)}; "
-                f"known keys: ['kind', 'params']")
+        specfile.check_keys(data, ("kind", "params"), ScenarioError,
+                            "adversary")
         if "kind" not in data:
             raise ScenarioError("an adversary needs a 'kind'")
         return cls(kind=data["kind"], params=tuple(
@@ -296,15 +288,8 @@ class Scenario:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "Scenario":
         """Build and validate a scenario from parsed YAML/JSON data."""
-        if not isinstance(data, Mapping):
-            raise ScenarioError(
-                f"scenario must be a mapping, got {type(data).__name__}")
-        known = {f.name for f in fields(cls)}
-        unknown = set(data) - known
-        if unknown:
-            raise ScenarioError(
-                f"unknown scenario keys: {sorted(unknown)}; "
-                f"known keys: {sorted(known)}")
+        specfile.check_keys(data, (f.name for f in fields(cls)),
+                            ScenarioError, "scenario")
         kw = dict(data)
         if "fault_plan" in kw and kw["fault_plan"] is not None and \
                 not isinstance(kw["fault_plan"], FaultPlan):
@@ -331,8 +316,7 @@ class Scenario:
     def digest(self) -> str:
         """Stable content address of the scenario (cache-key and
         fingerprint ingredient, exactly like a fault plan's digest)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return specfile.digest(self.to_dict())
 
     def describe(self) -> str:
         """One-paragraph human summary (``repro scenarios list|show``)."""
@@ -429,42 +413,14 @@ adversaries:              # topology-aware generators, expanded once
 
 def loads_scenario(text: str) -> Scenario:
     """Parse a scenario from YAML (preferred) or JSON text."""
-    data = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise ScenarioError(f"unparsable scenario: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise ScenarioError(f"unparsable scenario: {exc}") from None
-    if data is None:
-        data = {}
-    return Scenario.from_dict(data)
+    return Scenario.from_dict(specfile.parse(text, ScenarioError, "scenario"))
 
 
 def load_scenario(path: str) -> Scenario:
     """Load a :class:`Scenario` from a YAML/JSON file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ScenarioError(
-            f"cannot read scenario {path!r}: {exc}") from None
-    return loads_scenario(text)
+    return loads_scenario(specfile.read(path, ScenarioError, "scenario"))
 
 
 def dumps_scenario(scenario: Scenario) -> str:
     """Serialize a scenario back to YAML (JSON without PyYAML)."""
-    data = scenario.to_dict()
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - JSON fallback
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return yaml.safe_dump(data, sort_keys=True)
+    return specfile.dump(scenario.to_dict(), sort_keys=True)

@@ -30,13 +30,12 @@ commented example.
 
 from __future__ import annotations
 
-import hashlib
 import itertools
-import json
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import SweepPlanError
+from repro.util import specfile
 
 #: pipeline suffixes a plan may target: the full Fig. 1 flow, the flow
 #: without the final execution, or tracing alone (cache warming)
@@ -204,15 +203,8 @@ class SweepPlan:
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SweepPlan":
         """Build and validate a plan from parsed YAML/JSON data."""
-        if not isinstance(data, Mapping):
-            raise SweepPlanError(
-                f"sweep plan must be a mapping, got {type(data).__name__}")
-        known = {"name", "mode", "base", "axes", "points"}
-        unknown = set(data) - known
-        if unknown:
-            raise SweepPlanError(
-                f"unknown sweep-plan keys: {sorted(unknown)}; "
-                f"known keys: {sorted(known)}")
+        specfile.check_keys(data, ("name", "mode", "base", "axes", "points"),
+                            SweepPlanError, "sweep plan")
         axes_data = data.get("axes", [])
         if not isinstance(axes_data, Sequence) or \
                 isinstance(axes_data, (str, bytes)):
@@ -242,8 +234,7 @@ class SweepPlan:
     def digest(self) -> str:
         """Stable content address of the plan (keys sweep results the
         way a fault plan's digest keys faulted artifacts)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, default=str)
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+        return specfile.digest(self.to_dict())
 
     def describe(self) -> str:
         """One-line human summary (``repro sweep validate``)."""
@@ -316,42 +307,15 @@ points: []                # explicit extra points, e.g.
 
 def loads_sweep_plan(text: str) -> SweepPlan:
     """Parse a plan from YAML (preferred) or JSON text."""
-    data: Optional[Any] = None
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - PyYAML is normally present
-        yaml = None
-    if yaml is not None:
-        try:
-            data = yaml.safe_load(text)
-        except yaml.YAMLError as exc:
-            raise SweepPlanError(f"unparsable sweep plan: {exc}") from None
-    else:  # pragma: no cover - JSON fallback without PyYAML
-        try:
-            data = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise SweepPlanError(f"unparsable sweep plan: {exc}") from None
-    if data is None:
-        data = {}
-    return SweepPlan.from_dict(data)
+    return SweepPlan.from_dict(
+        specfile.parse(text, SweepPlanError, "sweep plan"))
 
 
 def load_sweep_plan(path: str) -> SweepPlan:
     """Load a :class:`SweepPlan` from a YAML/JSON file."""
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise SweepPlanError(
-            f"cannot read sweep plan {path!r}: {exc}") from None
-    return loads_sweep_plan(text)
+    return loads_sweep_plan(specfile.read(path, SweepPlanError, "sweep plan"))
 
 
 def dumps_sweep_plan(plan: SweepPlan) -> str:
     """Serialize a plan back to YAML (JSON without PyYAML)."""
-    data = plan.to_dict()
-    try:
-        import yaml
-    except ImportError:  # pragma: no cover - JSON fallback
-        return json.dumps(data, indent=2, sort_keys=True) + "\n"
-    return yaml.safe_dump(data, sort_keys=False)
+    return specfile.dump(plan.to_dict(), sort_keys=False)

@@ -24,6 +24,8 @@ import json
 import random
 from typing import Optional, Sequence, Tuple
 
+from repro.util import specfile
+
 #: policy names accepted by :func:`make_placement`
 PLACEMENTS = ("block", "roundrobin", "random", "map")
 
@@ -54,26 +56,11 @@ def load_placement_map(path: str, nranks: int,
     The file holds either a bare list (``[0, 0, 1, 1]``, index = rank)
     or a mapping with a ``placement`` key holding that list.
     """
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ValueError(f"cannot read placement map {path!r}: {exc}") \
-            from None
-    data = None
+    text = specfile.read(path, ValueError, "placement map")
     try:
         data = json.loads(text)
     except json.JSONDecodeError:
-        try:
-            import yaml
-        except ImportError:  # pragma: no cover - PyYAML normally present
-            yaml = None
-        if yaml is not None:
-            try:
-                data = yaml.safe_load(text)
-            except yaml.YAMLError as exc:
-                raise ValueError(
-                    f"unparsable placement map {path!r}: {exc}") from None
+        data = specfile.parse(text, ValueError, f"placement map {path!r}")
     if isinstance(data, dict):
         data = data.get("placement")
     if not isinstance(data, list):

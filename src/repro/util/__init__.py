@@ -1,5 +1,6 @@
 """Shared utility substrate: compact rank sets, timing histograms,
-RLE value sequences, rank-parameterized expressions, call-site signatures."""
+RLE value sequences, rank-parameterized expressions, call-site signatures,
+and the spec-file codec (:mod:`repro.util.specfile`)."""
 
 from repro.util.callsite import Callsite, capture_callsite
 from repro.util.expr import ANY_SOURCE, ParamExpr

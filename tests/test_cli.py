@@ -75,11 +75,12 @@ class TestExtrapolateValidation:
 
 
 class TestAtomicGenerate:
-    def test_failed_generation_leaves_no_output(self, workdir):
+    def test_failed_generation_leaves_no_output(self, workdir, capsys):
         with open("bogus.scalatrace", "w") as fh:
             fh.write("not a trace\n")
-        with pytest.raises(Exception):
-            main(["generate", "bogus.scalatrace", "-o", "out.ncptl"])
+        assert main(["generate", "bogus.scalatrace", "-o", "out.ncptl"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: not a ScalaTrace file")
         assert not os.path.exists("out.ncptl")
         # no temp-file droppings either
         assert not [f for f in os.listdir(".") if f.startswith(".tmp-")]
@@ -89,6 +90,35 @@ class TestAtomicGenerate:
               "-o", "r.scalatrace"])
         assert main(["generate", "r.scalatrace", "-o", "r.ncptl"]) == 0
         assert os.path.getsize("r.ncptl") > 0
+
+
+class TestBadInputFiles:
+    """A missing or malformed input file is one ``error:`` line and exit
+    status 2, never a traceback."""
+
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["sweep", "run", "missing.yaml"], id="sweep-run"),
+        pytest.param(["fuzz", "run", "missing.yaml"], id="fuzz-run"),
+        pytest.param(["faults", "run", "--app", "lu", "--np", "4",
+                      "--plan", "missing.yaml"], id="faults-run"),
+        pytest.param(["pipeline", "--app", "ring", "--np", "4",
+                      "--no-cache", "--fault-plan", "missing.yaml"],
+                     id="pipeline-fault-plan"),
+        pytest.param(["run", "missing.ncptl", "--np", "4"], id="run"),
+        pytest.param(["generate", "missing.trace", "-o", "x.ncptl"],
+                     id="generate"),
+        pytest.param(["jobs", "submit", "missing.yaml"], id="jobs-submit"),
+        pytest.param(["sweep", "run", "malformed.yaml"],
+                     id="sweep-run-malformed"),
+    ])
+    def test_clean_error(self, workdir, capsys, argv):
+        (workdir / "malformed.yaml").write_text("name: [unclosed\n")
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ")
+        assert ("malformed.yaml" in argv) == ("unparsable sweep plan" in err)
+        assert "Traceback" not in err
+        assert not os.path.exists("x.ncptl")
 
 
 class TestPipelineSubcommand:
