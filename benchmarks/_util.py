@@ -10,6 +10,9 @@ from __future__ import annotations
 import os
 import sys
 
+# the §5.2 profile comparison lives in repro.tools, shared with the tests
+from repro.tools.mpip import canonical_profile, profiles_close  # noqa: F401
+
 RESULTS_PATH = os.path.join(os.path.dirname(__file__), "results.txt")
 
 
@@ -23,37 +26,3 @@ def emit(text: str) -> None:
 def reset_results(header: str) -> None:
     with open(RESULTS_PATH, "a") as fh:
         fh.write("\n" + "=" * 72 + "\n" + header + "\n" + "=" * 72 + "\n")
-
-
-def canonical_profile(hook) -> dict:
-    """Substitution-aware canonicalization of an mpiP profile.
-
-    Table 1 maps each vector collective onto its scalar counterpart with
-    averaged sizes, so for comparison purposes the families are merged:
-    Alltoallv→Alltoall, Gatherv→Gather, Scatterv→Scatter,
-    Allgatherv→Allgather.  Counts stay exact; volumes may differ by the
-    averaging remainder (checked with a tolerance by the caller).
-    """
-    fam = {"Alltoallv": "Alltoall", "Gatherv": "Gather",
-           "Scatterv": "Scatter", "Allgatherv": "Allgather"}
-    out: dict = {}
-    for op, (calls, nbytes) in hook.snapshot().items():
-        key = fam.get(op, op)
-        c, b = out.get(key, (0, 0))
-        out[key] = (c + calls, b + nbytes)
-    return out
-
-
-def profiles_close(a: dict, b: dict, vol_tol: float = 0.01):
-    """Counts must match exactly; volumes within ``vol_tol`` relative."""
-    if set(a) != set(b):
-        return False, f"op sets differ: {sorted(a)} vs {sorted(b)}"
-    for op in a:
-        ca, ba = a[op]
-        cb, bb = b[op]
-        if ca != cb:
-            return False, f"{op}: {ca} vs {cb} calls"
-        denom = max(ba, bb, 1)
-        if abs(ba - bb) / denom > vol_tol:
-            return False, f"{op}: {ba} vs {bb} bytes"
-    return True, "profiles match"

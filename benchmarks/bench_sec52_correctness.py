@@ -24,9 +24,10 @@ from repro.pipeline import (Pipeline, PipelineConfig, RunContext,
                             TraceStage, generation_stages)
 from repro.scalatrace import ScalaTraceHook
 from repro.sim import LogGPModel
-from repro.tools import MpiPHook, render_table, traces_equivalent
+from repro.tools import (MpiPHook, canonical_profile, profiles_close,
+                         render_table, traces_equivalent)
 
-from _util import canonical_profile, emit, profiles_close, reset_results
+from _util import emit, reset_results
 
 _rows = []
 

@@ -163,6 +163,12 @@ def _scenario_ref(value: str):
     return value
 
 
+def _workers(args) -> int:
+    """The ``--workers`` count, where 0 means one per CPU."""
+    from repro.sweep import default_workers
+    return args.workers if args.workers > 0 else default_workers()
+
+
 @contextlib.contextmanager
 def _metrics(args):
     """Collect instrumentation for the command; dump it if requested."""
@@ -406,11 +412,10 @@ def cmd_faults_run(args):
 
 
 def cmd_sweep_run(args):
-    from repro.sweep import default_workers, load_sweep_plan, run_sweep
+    from repro.sweep import load_sweep_plan, run_sweep
     plan = load_sweep_plan(args.plan)
-    workers = args.workers if args.workers > 0 else default_workers()
     with _metrics(args) as inst:
-        result = run_sweep(plan, workers=workers,
+        result = run_sweep(plan, workers=_workers(args),
                            use_cache=not args.no_cache,
                            cache_dir=args.cache_dir)
     print(result.report())
@@ -431,14 +436,12 @@ def cmd_fuzz_run(args):
     import dataclasses
     from repro.fuzz import (load_campaign, load_corpus, run_campaign,
                             save_corpus)
-    from repro.sweep import default_workers
     campaign = load_campaign(args.campaign)
     if args.seeds is not None:
         campaign = dataclasses.replace(campaign, seeds=args.seeds)
-    workers = args.workers if args.workers > 0 else default_workers()
     corpus = load_corpus(args.corpus) if args.corpus else None
     with _metrics(args) as inst:
-        report = run_campaign(campaign, workers=workers,
+        report = run_campaign(campaign, workers=_workers(args),
                               use_cache=args.cache_dir is not None,
                               cache_dir=args.cache_dir or ".repro-cache",
                               corpus=corpus)
@@ -501,13 +504,12 @@ def cmd_scenarios_run(args):
     submission.
     """
     from repro.scenarios import ScenarioJob
-    from repro.sweep import default_workers, run_sweep
+    from repro.sweep import run_sweep
     job = ScenarioJob(scenario=_scenario_ref(args.scenario), app=args.app,
                       nranks=args.np, cls=args.cls, platform=args.platform,
                       mode=args.mode)
-    workers = args.workers if args.workers > 0 else default_workers()
     with _metrics(args) as inst:
-        result = run_sweep(job.to_sweep_plan(), workers=workers,
+        result = run_sweep(job.to_sweep_plan(), workers=_workers(args),
                            use_cache=not args.no_cache,
                            cache_dir=args.cache_dir)
     print(job.describe())
@@ -534,10 +536,8 @@ def cmd_serve(args):
     """Run the sweep service until interrupted (see docs/SERVICE.md)."""
     import asyncio
     from repro.service import SweepService
-    from repro.sweep import default_workers
-    workers = args.workers if args.workers > 0 else default_workers()
     service = SweepService(args.state_dir, cache_dir=args.cache_dir,
-                           workers=workers, host=args.host,
+                           workers=_workers(args), host=args.host,
                            port=args.port)
 
     async def serve() -> None:

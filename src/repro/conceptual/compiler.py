@@ -1,16 +1,22 @@
 """The coNCePTuaL compiler backend targeting the simulated MPI layer.
 
-Real coNCePTuaL compiles its source to C+MPI; our backend "compiles" the
-AST into an SPMD generator program over :class:`repro.mpi.MPIProcess` —
-the same pluggable-backend design the original tool advertises.  Every
-statement carries a synthetic call-site signature derived from its AST
-path, so ScalaTrace applied to a *generated* benchmark sees stable,
-per-statement call sites (just as the C backend's source lines would).
+Real coNCePTuaL compiles its source to C+MPI, so each rank runs only its
+own operations; our backend does the same in two steps.  A *lowering*
+pass walks the checked AST once per rank count and projects it onto one
+flat op list per rank: every expression and selector is evaluated once
+for all ranks, ``FOR EACH`` loops are unrolled, ``IF`` statements are
+folded, and ``FOR n REPETITIONS`` becomes a repeat node over one shared
+body.  Each rank's generator then *replays* its list against
+:class:`repro.mpi.MPIProcess`.  Every statement carries a synthetic
+call-site signature derived from its AST path, so ScalaTrace applied to a
+*generated* benchmark sees stable, per-statement call sites (just as the
+C backend's source lines would).
 
 Execution semantics of the communication statements:
 
 * ``SEND`` (implicit pairing) — sources send, destinations post matching
-  receives, synchronously or asynchronously per ``ASYNCHRONOUSLY``.
+  receives, synchronously or asynchronously per ``ASYNCHRONOUSLY``.  A
+  rank posts all of a statement's receives before its sends.
 * ``SEND ... TO UNSUSPECTING`` — send side only; some explicit ``RECEIVE``
   statement consumes the data.
 * ``MULTICAST`` — one source: a broadcast over sources ∪ targets; sources
@@ -22,21 +28,25 @@ Execution semantics of the communication statements:
 * ``AWAIT COMPLETION`` — waitall on the rank's outstanding asynchronous
   operations.
 
-Collective groups are static, so sub-communicators are interned up front
-(no setup traffic), mirroring coNCePTuaL's implicit communicator handling.
+Collective groups are static, so sub-communicators are interned when the
+collective runs (no setup traffic), mirroring coNCePTuaL's implicit
+communicator handling.  An error raised while lowering a statement
+becomes a raise op at that statement in the lists of the ranks that
+would have evaluated the failing expression, so it surfaces at run time
+exactly where a rank reaches it.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.conceptual.ast_nodes import (AllTasks, AwaitStmt, BinOp,
                                         ComputeStmt, Expr, ForEach, ForRep,
                                         IfStmt, IsIn, LogStmt, MulticastStmt,
                                         Num, Program, RecvStmt, ReduceStmt,
                                         ResetStmt, SendStmt, SingleTask,
-                                        Stmt, SuchThat, SyncStmt,
-                                        TaskSelector, Var)
+                                        SuchThat, SyncStmt, TaskSelector,
+                                        Var)
 from repro.conceptual.parser import parse
 from repro.conceptual.printer import print_program
 from repro.conceptual.runtime import LogDatabase, TaskCounters
@@ -123,279 +133,210 @@ def select_ranks(sel: TaskSelector, env: Dict[str, float],
     raise ConceptualSemanticError(f"unknown selector {sel!r}")
 
 
-# ------------------------------------------------------------- compiled form
-class _RankState:
-    def __init__(self, mpi: MPIProcess, logs: LogDatabase):
-        self.mpi = mpi
-        self.counters = TaskCounters()
-        self.pending = []
-        self.logs = logs
+# ------------------------------------------------------------------ op lists
+# One lowered op is a tuple whose first item is its opcode:
+#   (RECV, site, source, tag, count, is_async)
+#   (SEND, site, dest, size, tag, count, is_async)
+#   (COMPUTE, seconds)
+#   (AWAIT, site)
+#   (REPEAT, count, body)          body: this rank's shared op list
+#   (BCAST, site, group, root, size, role)
+#   (ALLTOALL, site, group, size)
+#   (ALLREDUCE, site, group, size)
+#   (REDUCE, site, group, root, size, is_source)
+#   (BARRIER, site, group)
+#   (RESET,)
+#   (LOG, label, aggregate, counter)
+#   (RAISE, exception)
+# ``group`` is a sorted tuple of world ranks; a BCAST's ``role`` says
+# which counters it updates (the multicast root, a multicast receiver, or
+# none for the broadcast half of a REDUCE).
+(RECV, SEND, COMPUTE, AWAIT, REPEAT, BCAST, ALLTOALL, ALLREDUCE, REDUCE,
+ BARRIER, RESET, LOG, RAISE) = range(13)
+_ROLE_NONE, _ROLE_ROOT, _ROLE_LEAF = range(3)
 
 
-class ConceptualProgram:
-    """A checked, executable coNCePTuaL program."""
+class _Lowering:
+    """One walk of a checked AST that projects it onto per-rank op lists.
 
-    def __init__(self, ast: Program, name: str = "benchmark"):
-        with obs.span("conceptual.compile", program=name):
-            check_program(ast)
-            self.ast = ast
-            self.name = name
-            self._sites: Dict[int, Callsite] = {}
-            self._number_statements()
-            obs.count("conceptual.statements_compiled", len(self._sites))
+    Control flow never depends on the rank (no expression outside a
+    selector can name one), so every expression is evaluated once per
+    loop binding and its ops are handed to the ranks they concern.
+    ``dead`` holds the ranks whose list already ends in a raise op:
+    nothing after it can run, and once every rank is dead the walk stops.
+    """
 
-    # -- constructors -----------------------------------------------------
-    @classmethod
-    def from_source(cls, text: str, name: str = "benchmark"):
-        return cls(parse(text), name)
+    def __init__(self, sites: Dict[int, Callsite], nranks: int):
+        self.sites = sites
+        self.n = nranks
+        self.dead = set()
 
-    @property
-    def source(self) -> str:
-        """Canonical source text of this program."""
-        return print_program(self.ast)
+    def block(self, stmts, env) -> List[list]:
+        out = [[] for _ in range(self.n)]
+        self.seq(stmts, env, out)
+        return out
 
-    def _number_statements(self) -> None:
-        counter = [0]
-
-        def walk(stmts):
-            for stmt in stmts:
-                self._sites[id(stmt)] = Callsite.synthetic(
-                    self.name, counter[0])
-                counter[0] += 1
-                if isinstance(stmt, (ForRep, ForEach)):
-                    walk(stmt.body)
-                elif isinstance(stmt, IfStmt):
-                    walk(stmt.then)
-                    walk(stmt.otherwise)
-
-        walk(self.ast.stmts)
-
-    # -- execution -----------------------------------------------------------
-    def instantiate(self, logs: LogDatabase):
-        """SPMD program function suitable for :func:`repro.mpi.run_spmd`."""
-        def program(mpi: MPIProcess):
-            state = _RankState(mpi, logs)
-            env = {"num_tasks": mpi.size}
-            yield from self._exec_seq(self.ast.stmts, state, env)
-            yield from mpi.finalize()
-        return program
-
-    def run(self, nranks: int, model=None, hooks=None,
-            max_steps=None, faults=None, profile=False,
-            schedule_policy=None, schedule_seed=None,
-            queue_discipline=None,
-            queue_params=None) -> Tuple[SpmdResult, LogDatabase]:
-        """Compile-and-run convenience: returns the simulation result and
-        the program's log database."""
-        logs = LogDatabase()
-        result = run_spmd(self.instantiate(logs), nranks, model=model,
-                          hooks=hooks, max_steps=max_steps, faults=faults,
-                          profile=profile, schedule_policy=schedule_policy,
-                          schedule_seed=schedule_seed,
-                          queue_discipline=queue_discipline,
-                          queue_params=queue_params)
-        return result, logs
-
-    # -- statement execution ------------------------------------------------
-    def _exec_seq(self, stmts: Sequence[Stmt], state: _RankState, env):
+    def seq(self, stmts, env, out: List[list]) -> None:
         for stmt in stmts:
-            yield from self._exec(stmt, state, env)
+            if len(self.dead) == self.n:
+                return
+            try:
+                self.stmt(stmt, env, out)
+            except Exception as exc:
+                # not handled, only deferred: any error an expression
+                # raises (a semantic error, a division by zero, ...) is
+                # re-raised by each rank that reaches this statement
+                self.fail(out, range(self.n), exc)
 
-    def _exec(self, stmt: Stmt, state: _RankState, env):
-        mpi = state.mpi
-        mpi.callsite_override = self._sites[id(stmt)]
-        try:
-            if isinstance(stmt, ForRep):
-                count = int(eval_expr(stmt.count, env))
-                for _ in range(count):
-                    yield from self._exec_seq(stmt.body, state, env)
-            elif isinstance(stmt, ForEach):
-                lo = int(eval_expr(stmt.lo, env))
-                hi = int(eval_expr(stmt.hi, env))
-                for i in range(lo, hi + 1):
-                    inner = {**env, stmt.var: i}
-                    yield from self._exec_seq(stmt.body, state, inner)
-            elif isinstance(stmt, IfStmt):
-                if eval_expr(stmt.cond, env):
-                    yield from self._exec_seq(stmt.then, state, env)
-                else:
-                    yield from self._exec_seq(stmt.otherwise, state, env)
-            elif isinstance(stmt, SendStmt):
-                yield from self._exec_send(stmt, state, env)
-            elif isinstance(stmt, RecvStmt):
-                yield from self._exec_recv(stmt, state, env)
-            elif isinstance(stmt, MulticastStmt):
-                yield from self._exec_multicast(stmt, state, env)
-            elif isinstance(stmt, ReduceStmt):
-                yield from self._exec_reduce(stmt, state, env)
-            elif isinstance(stmt, SyncStmt):
-                yield from self._exec_sync(stmt, state, env)
-            elif isinstance(stmt, ComputeStmt):
-                for r, inner in select_ranks(stmt.sel, env, mpi.size):
-                    if r == mpi.rank:
-                        usecs = float(eval_expr(stmt.usecs, inner))
-                        yield from mpi.compute(usecs * 1e-6)
-            elif isinstance(stmt, ResetStmt):
-                if self._selected(stmt.sel, env, mpi):
-                    state.counters.reset(mpi.now())
-            elif isinstance(stmt, AwaitStmt):
-                if self._selected(stmt.sel, env, mpi) and state.pending:
-                    yield from mpi.waitall(state.pending)
-                    state.pending = []
-            elif isinstance(stmt, LogStmt):
-                if self._selected(stmt.sel, env, mpi):
-                    value = state.counters.value(stmt.counter, mpi.now())
-                    state.logs.record(stmt.label, stmt.aggregate,
-                                      mpi.rank, value)
-            else:
-                raise ConceptualSemanticError(f"cannot execute {stmt!r}")
-        finally:
-            mpi.callsite_override = None
+    def fail(self, out: List[list], ranks, exc: Exception) -> None:
+        for r in ranks:
+            if r not in self.dead:
+                out[r].append((RAISE, exc))
+                self.dead.add(r)
 
-    @staticmethod
-    def _selected(sel: TaskSelector, env, mpi: MPIProcess) -> bool:
-        return any(r == mpi.rank
-                   for r, _ in select_ranks(sel, env, mpi.size))
+    def stmt(self, stmt, env, out: List[list]) -> None:
+        n = self.n
+        site = self.sites[id(stmt)]
+        if isinstance(stmt, ForRep):
+            count = int(eval_expr(stmt.count, env))
+            if count <= 0:
+                return
+            body = self.block(stmt.body, env)
+            for r, ops in enumerate(body):
+                if count == 1:
+                    out[r].extend(ops)
+                elif ops:
+                    out[r].append((REPEAT, count, ops))
+        elif isinstance(stmt, ForEach):
+            lo = int(eval_expr(stmt.lo, env))
+            hi = int(eval_expr(stmt.hi, env))
+            for i in range(lo, hi + 1):
+                self.seq(stmt.body, {**env, stmt.var: i}, out)
+        elif isinstance(stmt, IfStmt):
+            branch = stmt.then if eval_expr(stmt.cond, env) \
+                else stmt.otherwise
+            self.seq(branch, env, out)
+        elif isinstance(stmt, SendStmt):
+            self.send(stmt, site, env, out)
+        elif isinstance(stmt, RecvStmt):
+            for dst, inner in select_ranks(stmt.sel, env, n):
+                try:
+                    count = int(eval_expr(stmt.count, inner))
+                    src = ANY_SOURCE if stmt.source is None \
+                        else int(eval_expr(stmt.source, inner))
+                except Exception as exc:
+                    self.fail(out, (dst,), exc)
+                    continue
+                if count > 0:
+                    out[dst].append((RECV, site, src, stmt.tag, count,
+                                     stmt.is_async))
+        elif isinstance(stmt, MulticastStmt):
+            self.multicast(stmt, site, env, out)
+        elif isinstance(stmt, ReduceStmt):
+            self.reduce(stmt, site, env, out)
+        elif isinstance(stmt, SyncStmt):
+            group = tuple(sorted(r for r, _ in select_ranks(stmt.sel, env,
+                                                             n)))
+            for r in group:
+                out[r].append((BARRIER, site, group))
+        elif isinstance(stmt, ComputeStmt):
+            for r, inner in select_ranks(stmt.sel, env, n):
+                try:
+                    usecs = float(eval_expr(stmt.usecs, inner))
+                except Exception as exc:
+                    self.fail(out, (r,), exc)
+                    continue
+                out[r].append((COMPUTE, usecs * 1e-6))
+        elif isinstance(stmt, ResetStmt):
+            for r, _ in select_ranks(stmt.sel, env, n):
+                out[r].append((RESET,))
+        elif isinstance(stmt, AwaitStmt):
+            for r, _ in select_ranks(stmt.sel, env, n):
+                out[r].append((AWAIT, site))
+        elif isinstance(stmt, LogStmt):
+            op = (LOG, stmt.label, stmt.aggregate, stmt.counter)
+            for r, _ in select_ranks(stmt.sel, env, n):
+                out[r].append(op)
+        else:
+            raise ConceptualSemanticError(f"cannot execute {stmt!r}")
 
-    # -- point-to-point ----------------------------------------------------------
-    def _exec_send(self, stmt: SendStmt, state: _RankState, env):
-        mpi = state.mpi
+    # -- point-to-point ----------------------------------------------------
+    def send(self, stmt: SendStmt, site, env, out: List[list]) -> None:
+        n = self.n
         pairs = []  # (src, dst, size, count)
-        for src, inner in select_ranks(stmt.sel, env, mpi.size):
+        for src, inner in select_ranks(stmt.sel, env, n):
             dst = int(eval_expr(stmt.dest, inner))
             size = int(eval_expr(stmt.size, inner))
             count = int(eval_expr(stmt.count, inner))
-            pairs.append((src, dst, size, count))
-        me = mpi.rank
+            if count > 0:
+                pairs.append((src, dst, size, count))
         # receive side first (posting receives early is both deterministic
-        # and what a careful MPI programmer does)
+        # and what a careful MPI programmer does); a rank that is both a
+        # source and a destination of a blocking statement self-deadlocks,
+        # which is the author's responsibility exactly as in MPI
         if not stmt.unsuspecting:
-            for src, dst, size, count in pairs:
-                if dst != me:
-                    continue
-                for _ in range(count):
-                    if stmt.is_async:
-                        req = yield from mpi.irecv(source=src, tag=stmt.tag)
-                        state.pending.append(req)
-                    else:
-                        st = yield from mpi.recv(source=src, tag=stmt.tag)
-                        state.counters.msgs_received += 1
-                        state.counters.bytes_received += st.nbytes
+            for src, dst, _, count in pairs:
+                if 0 <= dst < n:
+                    out[dst].append((RECV, site, src, stmt.tag, count,
+                                     stmt.is_async))
         for src, dst, size, count in pairs:
-            if src != me:
-                continue
-            for _ in range(count):
-                if stmt.is_async:
-                    req = yield from mpi.isend(dest=dst, nbytes=size,
-                                               tag=stmt.tag)
-                    state.pending.append(req)
-                else:
-                    yield from mpi.send(dest=dst, nbytes=size, tag=stmt.tag)
-                state.counters.msgs_sent += 1
-                state.counters.bytes_sent += size
-        # synchronous implicitly-paired sends: the receive side above ran
-        # before the send side for pairs where this rank is both; that is
-        # only safe asynchronously, so blocking self-deadlock is the
-        # author's responsibility exactly as in MPI
+            out[src].append((SEND, site, dst, size, stmt.tag, count,
+                             stmt.is_async))
 
-    def _exec_recv(self, stmt: RecvStmt, state: _RankState, env):
-        mpi = state.mpi
-        for dst, inner in select_ranks(stmt.sel, env, mpi.size):
-            if dst != mpi.rank:
-                continue
-            count = int(eval_expr(stmt.count, inner))
-            if stmt.source is None:
-                src = ANY_SOURCE
-            else:
-                src = int(eval_expr(stmt.source, inner))
-            for _ in range(count):
-                if stmt.is_async:
-                    req = yield from mpi.irecv(source=src, tag=stmt.tag)
-                    state.pending.append(req)
-                else:
-                    st = yield from mpi.recv(source=src, tag=stmt.tag)
-                    state.counters.msgs_received += 1
-                    state.counters.bytes_received += st.nbytes
-
-    # -- collectives ----------------------------------------------------------------
-    def _groups(self, stmt, env, num_tasks):
-        sources = [r for r, _ in select_ranks(stmt.sel, env, num_tasks)]
-        targets = [r for r, _ in select_ranks(stmt.targets, env, num_tasks)]
+    # -- collectives -------------------------------------------------------
+    def groups(self, stmt, env):
+        sources = [r for r, _ in select_ranks(stmt.sel, env, self.n)]
+        targets = [r for r, _ in select_ranks(stmt.targets, env, self.n)]
         if not sources or not targets:
             raise ConceptualSemanticError(
                 f"collective with empty source or target set: {stmt!r}")
-        return sources, targets
+        return set(sources), set(targets)
 
-    def _exec_multicast(self, stmt: MulticastStmt, state: _RankState, env):
-        mpi = state.mpi
-        sources, targets = self._groups(stmt, env, mpi.size)
-        size = int(eval_expr(stmt.size, env)) if not _uses_task_var(
-            stmt.sel, stmt.size) else None
-        if size is None:
-            # size depends on the task variable; evaluate with own binding
-            for r, inner in select_ranks(stmt.sel, env, mpi.size):
-                if r == mpi.rank:
-                    size = int(eval_expr(stmt.size, inner))
-                    break
-            else:
-                size = int(eval_expr(stmt.size, {**env, _task_var(stmt.sel):
-                                                 mpi.rank}))
-        if set(sources) == set(targets) and len(sources) > 1:
-            group = sorted(set(sources))
-            if mpi.rank in group:
-                comm = mpi.group_comm(group)
-                yield from mpi.alltoall(size, comm=comm)
-                state.counters.msgs_sent += len(group) - 1
-                state.counters.bytes_sent += size * (len(group) - 1)
+    def multicast(self, stmt: MulticastStmt, site, env,
+                  out: List[list]) -> None:
+        n = self.n
+        sources, targets = self.groups(stmt, env)
+        if _uses_task_var(stmt.sel, stmt.size):
+            # the size depends on the task variable: every rank evaluates
+            # it under its own binding, whether or not it is a source
+            var = _task_var(stmt.sel)
+            sizes = {}
+            for r in range(n):
+                try:
+                    sizes[r] = int(eval_expr(stmt.size, {**env, var: r}))
+                except Exception as exc:
+                    self.fail(out, (r,), exc)
+        else:
+            size = int(eval_expr(stmt.size, env))
+            sizes = dict.fromkeys(range(n), size)
+        if sources == targets and len(sources) > 1:
+            group = tuple(sorted(sources))
+            for r in group:
+                if r in sizes:
+                    out[r].append((ALLTOALL, site, group, sizes[r]))
             return
-        for src in sorted(set(sources)):
-            group = sorted(set(targets) | {src})
-            if mpi.rank not in group:
-                continue
-            comm = mpi.group_comm(group)
-            yield from mpi.bcast(size, root=comm.rank_of_world(src),
-                                 comm=comm)
-            if mpi.rank == src:
-                state.counters.msgs_sent += len(group) - 1
-                state.counters.bytes_sent += size * (len(group) - 1)
-            else:
-                state.counters.msgs_received += 1
-                state.counters.bytes_received += size
+        for src in sorted(sources):
+            group = tuple(sorted(targets | {src}))
+            for r in group:
+                if r in sizes:
+                    role = _ROLE_ROOT if r == src else _ROLE_LEAF
+                    out[r].append((BCAST, site, group, src, sizes[r], role))
 
-    def _exec_reduce(self, stmt: ReduceStmt, state: _RankState, env):
-        mpi = state.mpi
-        sources, targets = self._groups(stmt, env, mpi.size)
+    def reduce(self, stmt: ReduceStmt, site, env, out: List[list]) -> None:
+        sources, targets = self.groups(stmt, env)
         size = int(eval_expr(stmt.size, env))
-        src_set, tgt_set = set(sources), set(targets)
-        group = sorted(src_set | tgt_set)
-        if mpi.rank not in group:
+        group = tuple(sorted(sources | targets))
+        if sources == targets:
+            for r in group:
+                out[r].append((ALLREDUCE, site, group, size))
             return
-        comm = mpi.group_comm(group)
-        if src_set == tgt_set:
-            yield from mpi.allreduce(size, comm=comm)
-            state.counters.msgs_sent += 1
-            state.counters.bytes_sent += size
-            return
-        root = min(tgt_set)
-        yield from mpi.reduce(size, root=comm.rank_of_world(root), comm=comm)
-        if mpi.rank in src_set:
-            state.counters.msgs_sent += 1
-            state.counters.bytes_sent += size
-        rest = sorted(tgt_set - {root})
-        if rest:
-            bgroup = sorted({root} | set(rest))
-            if mpi.rank in bgroup:
-                bcomm = mpi.group_comm(bgroup)
-                yield from mpi.bcast(size, root=bcomm.rank_of_world(root),
-                                     comm=bcomm)
-
-    def _exec_sync(self, stmt: SyncStmt, state: _RankState, env):
-        mpi = state.mpi
-        group = sorted(r for r, _ in select_ranks(stmt.sel, env, mpi.size))
-        if mpi.rank not in group:
-            return
-        comm = mpi.group_comm(group)
-        yield from mpi.barrier(comm=comm)
+        root = min(targets)
+        for r in group:
+            out[r].append((REDUCE, site, group, root, size, r in sources))
+        if len(targets) > 1:
+            bgroup = tuple(sorted(targets))
+            for r in bgroup:
+                out[r].append((BCAST, site, bgroup, root, size, _ROLE_NONE))
 
 
 def _task_var(sel: TaskSelector) -> Optional[str]:
@@ -421,3 +362,178 @@ def _uses_task_var(sel: TaskSelector, expr: Expr) -> bool:
         return False
 
     return walk(expr)
+
+
+# ------------------------------------------------------------------- replay
+class _RankState:
+    def __init__(self, mpi: MPIProcess, logs: LogDatabase):
+        self.mpi = mpi
+        self.counters = TaskCounters()
+        self.pending = []
+        self.logs = logs
+
+
+def _replay(ops: list, state: _RankState):
+    """Run one rank's lowered op list: the same MPI calls, call sites,
+    counter updates and log records as the statements it came from."""
+    mpi = state.mpi
+    counters = state.counters
+    for op in ops:
+        code = op[0]
+        if code == RECV:
+            _, mpi.callsite_override, src, tag, count, is_async = op
+            for _ in range(count):
+                if is_async:
+                    req = yield from mpi.irecv(source=src, tag=tag)
+                    state.pending.append(req)
+                else:
+                    st = yield from mpi.recv(source=src, tag=tag)
+                    counters.msgs_received += 1
+                    counters.bytes_received += st.nbytes
+        elif code == SEND:
+            _, mpi.callsite_override, dst, size, tag, count, is_async = op
+            for _ in range(count):
+                if is_async:
+                    req = yield from mpi.isend(dest=dst, nbytes=size,
+                                               tag=tag)
+                    state.pending.append(req)
+                else:
+                    yield from mpi.send(dest=dst, nbytes=size, tag=tag)
+                counters.msgs_sent += 1
+                counters.bytes_sent += size
+        elif code == COMPUTE:
+            yield from mpi.compute(op[1])
+        elif code == AWAIT:
+            if state.pending:
+                mpi.callsite_override = op[1]
+                yield from mpi.waitall(state.pending)
+                state.pending = []
+        elif code == REPEAT:
+            body = op[2]
+            for _ in range(op[1]):
+                yield from _replay(body, state)
+        elif code == BCAST:
+            _, mpi.callsite_override, group, root, size, role = op
+            comm = mpi.group_comm(group)
+            yield from mpi.bcast(size, root=comm.rank_of_world(root),
+                                 comm=comm)
+            if role == _ROLE_ROOT:
+                counters.msgs_sent += len(group) - 1
+                counters.bytes_sent += size * (len(group) - 1)
+            elif role == _ROLE_LEAF:
+                counters.msgs_received += 1
+                counters.bytes_received += size
+        elif code == ALLTOALL:
+            _, mpi.callsite_override, group, size = op
+            yield from mpi.alltoall(size, comm=mpi.group_comm(group))
+            counters.msgs_sent += len(group) - 1
+            counters.bytes_sent += size * (len(group) - 1)
+        elif code == ALLREDUCE:
+            _, mpi.callsite_override, group, size = op
+            yield from mpi.allreduce(size, comm=mpi.group_comm(group))
+            counters.msgs_sent += 1
+            counters.bytes_sent += size
+        elif code == REDUCE:
+            _, mpi.callsite_override, group, root, size, is_source = op
+            comm = mpi.group_comm(group)
+            yield from mpi.reduce(size, root=comm.rank_of_world(root),
+                                  comm=comm)
+            if is_source:
+                counters.msgs_sent += 1
+                counters.bytes_sent += size
+        elif code == BARRIER:
+            mpi.callsite_override = op[1]
+            yield from mpi.barrier(comm=mpi.group_comm(op[2]))
+        elif code == RESET:
+            counters.reset(mpi.now())
+        elif code == LOG:
+            _, label, aggregate, counter = op
+            state.logs.record(label, aggregate, mpi.rank,
+                              counters.value(counter, mpi.now()))
+        else:
+            raise op[1]
+
+
+# ------------------------------------------------------------- compiled form
+class ConceptualProgram:
+    """A checked, executable coNCePTuaL program."""
+
+    def __init__(self, ast: Program, name: str = "benchmark"):
+        with obs.span("conceptual.compile", program=name):
+            check_program(ast)
+            self.ast = ast
+            self.name = name
+            self._sites: Dict[int, Callsite] = {}
+            self._lowered: Dict[int, List[list]] = {}
+            self._number_statements()
+            obs.count("conceptual.statements_compiled", len(self._sites))
+
+    # -- constructors -----------------------------------------------------
+    @classmethod
+    def from_source(cls, text: str, name: str = "benchmark"):
+        return cls(parse(text), name)
+
+    @property
+    def source(self) -> str:
+        """Canonical source text of this program."""
+        return print_program(self.ast)
+
+    @property
+    def statement_count(self) -> int:
+        """Number of statements, each with its own call site."""
+        return len(self._sites)
+
+    def _number_statements(self) -> None:
+        counter = [0]
+
+        def walk(stmts):
+            for stmt in stmts:
+                self._sites[id(stmt)] = Callsite.synthetic(
+                    self.name, counter[0])
+                counter[0] += 1
+                if isinstance(stmt, (ForRep, ForEach)):
+                    walk(stmt.body)
+                elif isinstance(stmt, IfStmt):
+                    walk(stmt.then)
+                    walk(stmt.otherwise)
+
+        walk(self.ast.stmts)
+
+    # -- execution -----------------------------------------------------------
+    def lower(self, nranks: int) -> List[list]:
+        """The per-rank op lists for a run on ``nranks`` ranks, lowered on
+        first use and memoized on the program."""
+        lowered = self._lowered.get(nranks)
+        if lowered is None:
+            with obs.span("conceptual.lower", program=self.name,
+                          nranks=nranks):
+                lowered = _Lowering(self._sites, nranks).block(
+                    self.ast.stmts, {"num_tasks": nranks})
+            self._lowered[nranks] = lowered
+        return lowered
+
+    def instantiate(self, logs: LogDatabase):
+        """SPMD program function suitable for :func:`repro.mpi.run_spmd`."""
+        def program(mpi: MPIProcess):
+            ops = self.lower(mpi.size)[mpi.rank]
+            yield from _replay(ops, _RankState(mpi, logs))
+            mpi.callsite_override = None
+            yield from mpi.finalize()
+        return program
+
+    def run(self, nranks: int, model=None, hooks=None,
+            max_steps=None, faults=None, profile=False,
+            schedule_policy=None, schedule_seed=None,
+            queue_discipline=None,
+            queue_params=None) -> Tuple[SpmdResult, LogDatabase]:
+        """Compile-and-run convenience: returns the simulation result and
+        the program's log database."""
+        logs = LogDatabase()
+        self.lower(nranks)  # before the engine starts, outside its profile
+        result = run_spmd(self.instantiate(logs), nranks, model=model,
+                          hooks=hooks, max_steps=max_steps, faults=faults,
+                          profile=profile, schedule_policy=schedule_policy,
+                          schedule_seed=schedule_seed,
+                          queue_discipline=queue_discipline,
+                          queue_params=queue_params)
+        return result, logs

@@ -5,8 +5,8 @@ generator's traversal passes, the coNCePTuaL compiler) carry *probe
 points* that report what the hot paths actually did — steps scheduled,
 nodes folded, wildcards resolved, statements compiled.  Probes are
 no-ops unless an :class:`Instrumentation` collector is installed, so the
-cost in the common (uninstrumented) path is one global load and a
-``None`` check.
+cost in the common (uninstrumented) path is one thread-local load and a
+``None`` check.  Collectors are installed per thread.
 
 Usage::
 
@@ -34,6 +34,7 @@ The ``layer`` field is the dotted prefix of the probe name, which maps
 from __future__ import annotations
 
 import json
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, IO, List, Optional
@@ -176,54 +177,65 @@ class Instrumentation:
         return render_report(self)
 
 
-# -- module-level current collector (the probe fast path) -------------------
-_current: Optional[Instrumentation] = None
+# -- per-thread current collector (the probe fast path) ---------------------
+class _Slot(threading.local):
+    """Each thread's installed collector: overlapping executions on
+    different threads (the service's executor pool) never see, or
+    restore, each other's collector."""
+
+    inst: Optional[Instrumentation] = None
+
+
+_slot = _Slot()
 
 
 def current() -> Optional[Instrumentation]:
-    """The installed collector, or None when instrumentation is off."""
-    return _current
+    """This thread's installed collector, or None when instrumentation
+    is off."""
+    return _slot.inst
 
 
 def install(inst: Optional[Instrumentation] = None) -> Instrumentation:
-    """Install ``inst`` (or a fresh collector) as the current one."""
-    global _current
-    _current = inst if inst is not None else Instrumentation()
-    return _current
+    """Install ``inst`` (or a fresh collector) as this thread's current
+    one."""
+    _slot.inst = inst if inst is not None else Instrumentation()
+    return _slot.inst
 
 
 def uninstall() -> None:
-    global _current
-    _current = None
+    _slot.inst = None
 
 
 @contextmanager
 def instrumented(inst: Optional[Instrumentation] = None):
-    """Scoped install: probes feed ``inst`` inside the block, and the
-    previously installed collector (if any) is restored on exit."""
-    global _current
-    previous = _current
-    _current = inst if inst is not None else Instrumentation()
+    """Scoped install: probes on this thread feed ``inst`` inside the
+    block, and the thread's previously installed collector (if any) is
+    restored on exit."""
+    previous = _slot.inst
+    _slot.inst = inst if inst is not None else Instrumentation()
     try:
-        yield _current
+        yield _slot.inst
     finally:
-        _current = previous
+        _slot.inst = previous
 
 
 def count(name: str, value: float = 1) -> None:
     """Probe: bump a counter on the current collector (no-op when off)."""
-    if _current is not None:
-        _current.count(name, value)
+    inst = _slot.inst
+    if inst is not None:
+        inst.count(name, value)
 
 
 def span(name: str, **labels):
     """Probe: time a region on the current collector (no-op when off)."""
-    if _current is not None:
-        return _current.span(name, **labels)
+    inst = _slot.inst
+    if inst is not None:
+        return inst.span(name, **labels)
     return _NULL_SPAN
 
 
 def event(kind: str, name: str, **fields) -> None:
     """Probe: record a free-form event (no-op when off)."""
-    if _current is not None:
-        _current.emit(kind, name, **fields)
+    inst = _slot.inst
+    if inst is not None:
+        inst.emit(kind, name, **fields)

@@ -27,8 +27,8 @@ single-threaded.
 
 Observability is two collectors, deliberately separate: the server owns
 an :class:`~repro.obs.Instrumentation` used *directly* (never via the
-module-global probe) for ``service.*`` counters and spans, while each
-execution installs its own scoped collector in the worker thread so
+per-thread probes) for ``service.*`` counters and spans, while each
+execution installs its own scoped collector in its worker thread so
 ``sweep.*``/``fuzz.*``/``pipeline.*`` probes are captured per job and
 snapshotted into the terminal status — no cross-contamination between
 the serving path and the executing path.

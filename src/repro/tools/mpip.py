@@ -98,3 +98,45 @@ def stats_match(a: MpiPHook, b: MpiPHook,
     if diffs:
         return False, "; ".join(diffs[:20])
     return True, "profiles identical"
+
+
+#: Table 1 substitution families: each vector collective is compared
+#: through its scalar counterpart
+_FAMILIES = {"Alltoallv": "Alltoall", "Gatherv": "Gather",
+             "Scatterv": "Scatter", "Allgatherv": "Allgather"}
+
+
+def canonical_profile(hook: MpiPHook) -> Dict[str, Tuple[int, int]]:
+    """Substitution-aware canonicalization of an mpiP profile.
+
+    Table 1 maps each vector collective onto its scalar counterpart with
+    averaged sizes, so for comparison purposes the families are merged:
+    Alltoallv→Alltoall, Gatherv→Gather, Scatterv→Scatter,
+    Allgatherv→Allgather.  Counts stay exact; volumes may differ by the
+    averaging remainder (checked with a tolerance by
+    :func:`profiles_close`).
+    """
+    out: Dict[str, Tuple[int, int]] = {}
+    for op, (calls, nbytes) in hook.snapshot().items():
+        key = _FAMILIES.get(op, op)
+        c, b = out.get(key, (0, 0))
+        out[key] = (c + calls, b + nbytes)
+    return out
+
+
+def profiles_close(a: Dict[str, Tuple[int, int]],
+                   b: Dict[str, Tuple[int, int]],
+                   vol_tol: float = 0.01) -> Tuple[bool, str]:
+    """The §5.2 check on two canonical profiles: per-op counts must match
+    exactly, volumes within ``vol_tol`` relative."""
+    if set(a) != set(b):
+        return False, f"op sets differ: {sorted(a)} vs {sorted(b)}"
+    for op in a:
+        ca, ba = a[op]
+        cb, bb = b[op]
+        if ca != cb:
+            return False, f"{op}: {ca} vs {cb} calls"
+        denom = max(ba, bb, 1)
+        if abs(ba - bb) / denom > vol_tol:
+            return False, f"{op}: {ba} vs {bb} bytes"
+    return True, "profiles match"

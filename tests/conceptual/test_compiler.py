@@ -1,4 +1,7 @@
-"""Execution tests: compiled coNCePTuaL programs running on the simulator."""
+"""Execution tests: compiled coNCePTuaL programs running on the simulator.
+
+Every program here runs on the compiler as shipped and on the
+tree-walking oracle (``oracle.diff_run``), which must agree exactly."""
 
 import pytest
 
@@ -6,11 +9,12 @@ from repro.conceptual import ConceptualProgram
 from repro.errors import ConceptualSemanticError
 from repro.mpi import RecordingHook
 from repro.sim import SimpleModel
+from tests.conceptual.oracle import diff_run
 
 
 def run(text, nranks, hooks=None):
     prog = ConceptualProgram.from_source(text)
-    return prog.run(nranks, model=SimpleModel(), hooks=hooks)
+    return diff_run(prog, nranks, model=SimpleModel(), hooks=hooks)
 
 
 def run_with_events(text, nranks):
@@ -204,7 +208,7 @@ class TestSemanticErrors:
         prog = ConceptualProgram.from_source(
             "TASK 9 SENDS A 1 BYTE MESSAGE TO TASK 0")
         with pytest.raises(ConceptualSemanticError):
-            prog.run(2, model=SimpleModel())
+            diff_run(prog, 2, model=SimpleModel())
 
     def test_loop_variable_scoping(self):
         # i out of scope after the loop

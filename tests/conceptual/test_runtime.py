@@ -1,5 +1,6 @@
 """Unit tests for the coNCePTuaL runtime: counters, log database, and
-the §5.4 phase-selective compute scaling."""
+the §5.4 phase-selective compute scaling.  Programs run on the compiler
+as shipped and on the tree-walking oracle (``oracle.diff_run``)."""
 
 import pytest
 
@@ -8,6 +9,7 @@ from repro.conceptual.ast_nodes import Num
 from repro.conceptual.runtime import _aggregate
 from repro.generator import scale_compute
 from repro.sim import SimpleModel
+from tests.conceptual.oracle import diff_run
 
 
 class TestTaskCounters:
@@ -86,7 +88,7 @@ class TestCounterProgram:
             'TASK 1 LOGS THE SUM OF bytes_received AS "br" THEN '
             'TASK 1 LOGS THE SUM OF total_msgs AS "tm"')
         prog = ConceptualProgram.from_source(text)
-        _, logs = prog.run(2, model=SimpleModel())
+        _, logs = diff_run(prog, 2, model=SimpleModel())
         assert logs.value("ms") == 3
         assert logs.value("mr") == 3
         assert logs.value("br") == 384
@@ -102,8 +104,9 @@ class TestPhaseSelectiveScaling:
 
     def test_uniform_scaling(self):
         prog = self._program()
-        half, _ = scale_compute(prog, 0.5).run(2, model=SimpleModel())
-        full, _ = prog.run(2, model=SimpleModel())
+        half, _ = diff_run(scale_compute(prog, 0.5), 2,
+                           model=SimpleModel())
+        full, _ = diff_run(prog, 2, model=SimpleModel())
         assert half.total_time == pytest.approx(full.total_time / 2,
                                                 rel=0.01)
 
@@ -115,12 +118,12 @@ class TestPhaseSelectiveScaling:
             prog, 0.0,
             where=lambda s: isinstance(s.usecs, Num)
             and s.usecs.value >= 3000)
-        t, _ = accel.run(2, model=SimpleModel())
+        t, _ = diff_run(accel, 2, model=SimpleModel())
         assert t.total_time == pytest.approx(1e-3, rel=0.05)
 
     def test_where_preserves_unselected(self):
         prog = self._program()
         noop = scale_compute(prog, 0.0, where=lambda s: False)
-        t_noop, _ = noop.run(2, model=SimpleModel())
-        t_full, _ = prog.run(2, model=SimpleModel())
+        t_noop, _ = diff_run(noop, 2, model=SimpleModel())
+        t_full, _ = diff_run(prog, 2, model=SimpleModel())
         assert t_noop.total_time == pytest.approx(t_full.total_time)

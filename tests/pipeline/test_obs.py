@@ -60,6 +60,41 @@ class TestCollector:
         obs.uninstall()
         assert obs.current() is None
 
+    def test_collectors_are_per_thread(self):
+        # overlapping scoped collectors on more threads than cores, with
+        # frequent switches: each keeps every count, and no exit
+        # restores another thread's collector (the service runs
+        # executions on a thread pool)
+        import sys
+        import threading
+        nthreads, counts = 4, 2000
+        barrier = threading.Barrier(nthreads, timeout=30)
+        seen = {}
+
+        def work(i):
+            with obs.instrumented() as inst:
+                barrier.wait()
+                for _ in range(counts):
+                    obs.count("sweep.points")
+                barrier.wait()
+            seen[i] = (inst.counters["sweep.points"], obs.current())
+
+        outer = obs.install()
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,))
+                       for i in range(nthreads)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert seen == {i: (counts, None) for i in range(nthreads)}
+        assert obs.current() is outer and outer.counters == {}
+
     def test_layer_of(self):
         assert obs.layer_of("engine.steps") == "engine"
         assert obs.layer_of("flat") == "flat"
