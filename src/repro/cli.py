@@ -51,6 +51,20 @@ def _add_metrics(parser):
                              "(JSON lines) to FILE")
 
 
+def _add_cache(parser):
+    parser.add_argument("--cache-dir", default=".repro-cache",
+                        help="shared artifact cache directory "
+                             "(default: .repro-cache)")
+    parser.add_argument("--no-cache", action="store_true",
+                        help="bypass the artifact cache entirely")
+
+
+def _add_report(parser):
+    parser.add_argument("--report", action="store_true",
+                        help="also print the per-layer instrumentation "
+                             "report")
+
+
 def _add_topology(parser):
     from repro.topology import TOPOLOGIES
     parser.add_argument("--topology", choices=sorted(TOPOLOGIES),
@@ -723,13 +737,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="also write the generated benchmark here")
     p.add_argument("--no-run", action="store_true",
                    help="stop after compiling (skip benchmark execution)")
-    p.add_argument("--cache-dir", default=".repro-cache",
-                   help="artifact cache directory "
-                        "(default: .repro-cache)")
-    p.add_argument("--no-cache", action="store_true",
-                   help="bypass the artifact cache entirely")
-    p.add_argument("--report", action="store_true",
-                   help="also print the per-layer instrumentation report")
+    _add_cache(p)
+    _add_report(p)
     p.add_argument("--fault-plan", metavar="FILE",
                    help="subject simulation stages to the fault plan "
                         "(YAML/JSON; see 'repro faults template')")
@@ -813,13 +822,8 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--jsonl", metavar="FILE",
                     help="write canonical per-point JSON lines here "
                          "(byte-identical for any --workers value)")
-    sp.add_argument("--cache-dir", default=".repro-cache",
-                    help="shared artifact cache directory "
-                         "(default: .repro-cache)")
-    sp.add_argument("--no-cache", action="store_true",
-                    help="bypass the artifact cache entirely")
-    sp.add_argument("--report", action="store_true",
-                    help="also print the per-layer instrumentation report")
+    _add_cache(sp)
+    _add_report(sp)
     _add_metrics(sp)
     sp.set_defaults(func=cmd_sweep_run)
 
@@ -863,9 +867,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="enable the shared artifact cache at DIR "
                          "(off by default: each point runs a distinct "
                          "schedule)")
-    zp.add_argument("--report", action="store_true",
-                    help="also print the per-layer instrumentation "
-                         "report")
+    _add_report(zp)
     _add_metrics(zp)
     zp.set_defaults(func=cmd_fuzz_run)
 
@@ -904,14 +906,8 @@ def build_parser() -> argparse.ArgumentParser:
                     help="write the canonical result (JSON) here")
     cp.add_argument("--jsonl", metavar="FILE",
                     help="write canonical per-point JSON lines here")
-    cp.add_argument("--cache-dir", default=".repro-cache",
-                    help="shared artifact cache directory "
-                         "(default: .repro-cache)")
-    cp.add_argument("--no-cache", action="store_true",
-                    help="bypass the artifact cache entirely")
-    cp.add_argument("--report", action="store_true",
-                    help="also print the per-layer instrumentation "
-                         "report")
+    _add_cache(cp)
+    _add_report(cp)
     _add_platform(cp)
     _add_metrics(cp)
     cp.set_defaults(func=cmd_scenarios_run)

@@ -22,7 +22,7 @@ construction.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.conceptual.ast_nodes import (AllTasks, AwaitStmt, BinOp,
                                         ComputeStmt, Expr, ForEach, ForRep,
@@ -39,7 +39,6 @@ from repro.mpi.hooks import COLLECTIVE_OPS, P2P_OPS, WAIT_OPS
 from repro.scalatrace.rsd import EventNode, LoopNode, ParamField, Trace
 from repro.util.expr import ANY_SOURCE, ParamExpr
 from repro.util.rankset import RankSet
-from repro.util.valueseq import ValueSeq
 
 TASK_VAR = "t"
 
@@ -99,6 +98,64 @@ def _attribute_variation(values: List, chain: List[_LoopCtx]):
             return ctx, period
         inner *= ctx.count
     return None
+
+
+def _flat_index(chain: List[_LoopCtx]) -> Tuple[Expr, int]:
+    """The flattened iteration index ``rep0 * n + rep1 ...`` over the
+    whole loop chain (innermost fastest) and the number of iterations it
+    spans.  Every loop in the chain becomes a ``FOR EACH``."""
+    index: Expr = Var(chain[0].var)
+    total = chain[0].count
+    chain[0].used = True
+    for ctx in chain[1:]:
+        ctx.used = True
+        index = BinOp("+", BinOp("*", index, Num(ctx.count)), Var(ctx.var))
+        total *= ctx.count
+    return index, total
+
+
+def _ladder(index: Expr, values: Sequence,
+            emit: Callable[[object], List[Stmt]]) -> List[Stmt]:
+    """The one run-length → ``IF`` builder (§4.5's "IF statement
+    conditioned on a loop variable").
+
+    ``values`` holds one entry per value of ``index``.  Equal adjacent
+    entries form a run; ``emit(value)`` renders a run's statements, which
+    are guarded with ``=``, ``<=``, ``>=`` or ``/\\`` on ``index``.  A
+    run covering every iteration needs no guard.
+    """
+    out: List[Stmt] = []
+    last = len(values) - 1
+    a = 0
+    for b, value in enumerate(values):
+        if b < last and values[b + 1] == value:
+            continue
+        stmts = emit(value)
+        if a == 0 and b == last:
+            out.extend(stmts)
+        else:
+            if a == b:
+                cond: Expr = BinOp("=", index, Num(a))
+            elif a == 0:
+                cond = BinOp("<=", index, Num(b))
+            elif b == last:
+                cond = BinOp(">=", index, Num(a))
+            else:
+                cond = BinOp("/\\", BinOp(">=", index, Num(a)),
+                             BinOp("<=", index, Num(b)))
+            out.append(IfStmt(cond, stmts))
+        a = b + 1
+    return out
+
+
+def _group_ranks(ranks: RankSet, key: Callable[[int], tuple]
+                 ) -> List[Tuple[tuple, RankSet]]:
+    """Split ``ranks`` by ``key(rank)``; groups come in order of their
+    first rank."""
+    groups: Dict[tuple, List[int]] = {}
+    for r in ranks:
+        groups.setdefault(key(r), []).append(r)
+    return [(k, RankSet(members)) for k, members in groups.items()]
 
 
 class ConceptualEmitter:
@@ -242,229 +299,112 @@ class ConceptualEmitter:
         comm_ranks = self.trace.comm_ranks(node.comm_id)
         peer = absolutize_rank_field(node.peer, list(node.ranks),
                                      comm_ranks, self.world)
-        return self._emit_p2p_ranks(node, ctx, node.ranks, peer,
-                                    node.size, node.tag)
+        return self._emit_p2p_ranks(
+            node, ctx, node.ranks,
+            {"peer": peer, "size": node.size, "tag": node.tag})
 
     def _emit_p2p_ranks(self, node, ctx, ranks: RankSet,
-                        peer: Optional[ParamField],
-                        size: Optional[ParamField],
-                        tag: Optional[ParamField]) -> List[Stmt]:
+                        fields: Dict[str, Optional[ParamField]]
+                        ) -> List[Stmt]:
         # 1. rank_map fields: split ranks into groups sharing a sequence
-        fields = {"peer": peer, "size": size, "tag": tag}
-        if any(f is not None and f.rank_map is not None
-               for f in fields.values()):
-            groups: Dict[tuple, List[int]] = {}
-            for r in ranks:
-                key = tuple(
-                    None if f is None else
-                    (("m",) + tuple(f.rank_map[r].runs)
-                     if f.rank_map is not None else ("s",))
-                    for f in fields.values())
-                groups.setdefault(key, []).append(r)
+        maps = [name for name, f in fields.items()
+                if f is not None and f.rank_map is not None]
+        if maps:
             out: List[Stmt] = []
-            for key in sorted(groups, key=lambda k: groups[k][0]):
-                grp = RankSet(groups[key])
-                sub = {}
-                for name, f in fields.items():
-                    if f is None:
-                        sub[name] = None
-                    elif f.rank_map is not None:
-                        sub[name] = ParamField(
-                            seq=f.rank_map[grp.min()])
-                    else:
-                        sub[name] = f
-                out.extend(self._emit_p2p_ranks(
-                    node, ctx, grp, sub["peer"], sub["size"], sub["tag"]))
+            for _, grp in _group_ranks(ranks, lambda r: tuple(
+                    tuple(fields[name].rank_map[r].runs) for name in maps)):
+                sub = dict(fields)
+                sub.update((name, ParamField(seq=fields[name].rank_map[
+                    grp.min()])) for name in maps)
+                out.extend(self._emit_p2p_ranks(node, ctx, grp, sub))
             return out
         # 2. per-iteration variation → loop-variable conditionals
         varying = {name: f for name, f in fields.items()
                    if f is not None and f.seq is not None
                    and not f.seq.is_constant()}
         if varying:
-            return self._emit_p2p_segments(node, ctx, ranks, peer, size,
-                                           tag, varying)
+            return self._emit_p2p_segments(node, ctx, ranks, fields,
+                                           varying)
         # 3. irregular per-rank constants → delta/value grouping
-        return self._emit_p2p_groups(node, ranks, peer, size, tag)
+        return self._emit_p2p_groups(node, ranks, fields)
 
-    def _emit_p2p_segments(self, node, ctx, ranks, peer, size, tag,
+    def _emit_p2p_segments(self, node, ctx, ranks, fields,
                            varying) -> List[Stmt]:
         """Per-iteration variation → conditionals on loop variables.
 
         Fields varying with *different* enclosing loops (e.g. MG's peer
         changing every message but its size changing per level) nest:
         the outermost involved loop is segmented here and the remainder
-        recurses through :meth:`_emit_p2p_ranks`.
+        recurses through :meth:`_emit_p2p_ranks`.  When no single loop
+        explains some field (e.g. wildcard sources resolved in
+        wavefront-arrival order), every varying field is segmented on
+        the flattened iteration index instead: verbose but exact.
         """
         if ctx is None:
             raise GenerationError(
                 f"{node!r}: iteration-varying parameters outside a loop")
         chain = ctx.chain()
-        attributed: Dict[str, Tuple[_LoopCtx, List]] = {}
+        attributed = {}
         for name, field in varying.items():
             res = _attribute_variation(list(field.seq), chain)
             if res is None:
-                # no single loop explains the variation (e.g. wildcard
-                # sources resolved in wavefront-arrival order): fall back
-                # to conditions on the flattened iteration index
-                return self._emit_p2p_flat(node, ctx, ranks, peer, size,
-                                           tag, varying)
+                break
             attributed[name] = res
-        # segment the outermost involved loop first
-        target_ctx = min((actx for actx, _ in attributed.values()),
-                         key=lambda c: chain.index(c))
-        target_ctx.used = True
+        if len(attributed) == len(varying):
+            # segment the outermost involved loop first
+            target = min((actx for actx, _ in attributed.values()),
+                         key=chain.index)
+            target.used = True
+            index: Expr = Var(target.var)
+            columns = {name: period
+                       for name, (actx, period) in attributed.items()
+                       if actx is target}
+        else:
+            index, total = _flat_index(chain)
+            for name, field in varying.items():
+                if len(field.seq) != total:
+                    raise GenerationError(
+                        f"{node!r}: parameter {name} has {len(field.seq)} "
+                        f"instances but the loop nest runs {total} "
+                        f"iterations")
+            columns = {name: list(field.seq)
+                       for name, field in varying.items()}
 
-        def value_at(name, field, k):
-            """Field value (or residual ParamField) in outer iteration k."""
-            if field is None:
-                return None
-            if name in attributed and attributed[name][0] is target_ctx:
-                return attributed[name][1][k]
-            return field  # constant, rank expression, or inner-varying
-
-        count = target_ctx.count
-        segments: List[Tuple[int, int, tuple]] = []
-        for k in range(count):
-            vals = (value_at("peer", peer, k), value_at("size", size, k),
-                    value_at("tag", tag, k))
-            if segments and segments[-1][2] == vals:
-                segments[-1] = (segments[-1][0], k, vals)
-            else:
-                segments.append((k, k, vals))
-
-        def as_field(v):
-            if v is None or isinstance(v, ParamField):
-                return v
-            return ParamField.of(v)
-
-        out: List[Stmt] = []
-        var = Var(target_ctx.var)
-        for a, b, (pv, sv, tv) in segments:
-            pf, sf, tf = as_field(pv), as_field(sv), as_field(tv)
+        def emit(values) -> List[Stmt]:
+            sub = dict(fields)
+            sub.update(zip(columns, map(ParamField.of, values)))
             # recurse: remaining (inner-loop) variation nests inside
-            stmt_list = self._emit_p2p_ranks(node, ctx, ranks, pf, sf, tf)
-            if a == 0 and b == count - 1:
-                out.extend(stmt_list)
-                continue
-            if a == b:
-                cond: Expr = BinOp("=", var, Num(a))
-            elif a == 0:
-                cond = BinOp("<=", var, Num(b))
-            elif b == count - 1:
-                cond = BinOp(">=", var, Num(a))
-            else:
-                cond = BinOp("/\\", BinOp(">=", var, Num(a)),
-                             BinOp("<=", var, Num(b)))
-            out.append(IfStmt(cond, stmt_list))
-        return out
+            return self._emit_p2p_ranks(node, ctx, ranks, sub)
 
-    def _emit_p2p_flat(self, node, ctx, ranks, peer, size, tag,
-                       varying) -> List[Stmt]:
-        """Last-resort lossless emission: conditions on the flattened
-        instance index across all enclosing loops.  Verbose but exact —
-        used when per-instance values follow no loop-aligned pattern."""
-        chain = ctx.chain()
-        total = 1
-        for c in chain:
-            c.used = True
-            total *= c.count
-        for name, field in varying.items():
-            if len(field.seq) != total:
-                raise GenerationError(
-                    f"{node!r}: parameter {name} has {len(field.seq)} "
-                    f"instances but the loop nest runs {total} iterations")
-        flat: Expr = Var(chain[0].var)
-        for c in chain[1:]:
-            flat = BinOp("+", BinOp("*", flat, Num(c.count)), Var(c.var))
-
-        def value_at(field, k):
-            if field is None:
-                return None
-            if field.seq is not None:
-                return self._seq_value(field.seq, k)
-            return field
-
-        segments: List[Tuple[int, int, tuple]] = []
-        for k in range(total):
-            vals = (value_at(peer, k), value_at(size, k), value_at(tag, k))
-            if segments and segments[-1][2] == vals:
-                segments[-1] = (segments[-1][0], k, vals)
-            else:
-                segments.append((k, k, vals))
-
-        def as_field(v):
-            if v is None or isinstance(v, ParamField):
-                return v
-            return ParamField.of(v)
-
-        out: List[Stmt] = []
-        for a, b, (pv, sv, tv) in segments:
-            stmt_list = self._emit_p2p_groups(node, ranks, as_field(pv),
-                                              as_field(sv), as_field(tv))
-            if a == 0 and b == total - 1:
-                out.extend(stmt_list)
-                continue
-            if a == b:
-                cond: Expr = BinOp("=", flat, Num(a))
-            elif a == 0:
-                cond = BinOp("<=", flat, Num(b))
-            elif b == total - 1:
-                cond = BinOp(">=", flat, Num(a))
-            else:
-                cond = BinOp("/\\", BinOp(">=", flat, Num(a)),
-                             BinOp("<=", flat, Num(b)))
-            out.append(IfStmt(cond, stmt_list))
-        return out
-
-    @staticmethod
-    def _seq_value(seq: ValueSeq, k: int):
-        return seq.value if seq.is_constant() else seq[k]
+        return _ladder(index, list(zip(*columns.values())), emit)
 
     def _emit_p2p_groups(self, node, ranks: RankSet,
-                         peer: Optional[ParamField],
-                         size: Optional[ParamField],
-                         tag: Optional[ParamField]) -> List[Stmt]:
+                         fields: Dict[str, Optional[ParamField]]
+                         ) -> List[Stmt]:
         """Split an irregular per-rank table into statements whose peers
         are closed forms.  Peers group by *delta* (peer - rank), which
         turns e.g. a torus row wrap into two statements (``t + 1`` for the
         interior, ``t - 2`` at the edge) instead of one per rank."""
-        def table_of(field):
-            return (field is not None and field.expr is not None
-                    and field.expr.kind == "table")
+        tables = [name for name, f in fields.items()
+                  if f is not None and f.expr is not None
+                  and f.expr.kind == "table"]
+        if not tables:
+            return [self._p2p_statement(node, ranks, **fields)]
 
-        if not any(table_of(f) for f in (peer, size, tag)):
-            return [self._p2p_statement(node, ranks, peer, size, tag)]
-        groups: Dict[tuple, List[int]] = {}
-        for r in ranks:
-            key = []
-            for name, f in (("peer", peer), ("size", size), ("tag", tag)):
-                if f is None:
-                    key.append(None)
-                elif table_of(f):
-                    v = f.expr.evaluate(r)
-                    if name == "peer" and isinstance(v, int) \
-                            and v != ANY_SOURCE:
-                        key.append(("delta", v - r))
-                    else:
-                        key.append(("value", v))
-                else:
-                    key.append(("shared",))
-            groups.setdefault(tuple(key), []).append(r)
+        def part(name, r):
+            v = fields[name].expr.evaluate(r)
+            if name == "peer" and isinstance(v, int) and v != ANY_SOURCE:
+                return ("delta", v - r)
+            return ("value", v)
+
         out = []
-        for key in sorted(groups, key=lambda k: groups[k][0]):
-            grp = RankSet(groups[key])
-            sub = []
-            for (name, f), part in zip(
-                    (("peer", peer), ("size", size), ("tag", tag)), key):
-                if part is None:
-                    sub.append(None)
-                elif part == ("shared",):
-                    sub.append(f)
-                elif part[0] == "delta":
-                    sub.append(ParamField(expr=ParamExpr.rel(part[1])))
-                else:
-                    sub.append(ParamField.of(part[1]))
-            out.append(self._p2p_statement(node, grp, *sub))
+        for key, grp in _group_ranks(ranks, lambda r: tuple(
+                part(name, r) for name in tables)):
+            sub = dict(fields)
+            for name, (kind, v) in zip(tables, key):
+                sub[name] = (ParamField(expr=ParamExpr.rel(v))
+                             if kind == "delta" else ParamField.of(v))
+            out.append(self._p2p_statement(node, grp, **sub))
         return out
 
     def _p2p_statement(self, node: EventNode, ranks: RankSet,
@@ -567,55 +507,23 @@ class ConceptualEmitter:
         if len(lengths) != 1:
             raise GenerationError(
                 f"{node!r}: inconsistent collective parameter lengths")
-        total = lengths.pop()
-
-        def value_at(f, k):
-            if f is None:
-                return None
-            if f is node.size:
-                return self._collective_size_value(f, node.ranks, k)
-            return f.seq.value if f.seq.is_constant() else f.seq[k]
-
-        combined = [(value_at(node.size, k), value_at(node.root, k))
-                    for k in range(total)]
+        root = node.root
+        # the root is one value per instance, the same on every rank
+        values = [(self._collective_size_value(node.size, node.ranks, k),
+                   None if root is None else root.value_at(0, k))
+                  for k in range(lengths.pop())]
         chain = ctx.chain()
-        res = _attribute_variation(combined, chain)
+        res = _attribute_variation(values, chain)
         if res is not None:
-            target_ctx, period = res
-            target_ctx.used = True
-            index: Expr = Var(target_ctx.var)
-            values = period
+            target, values = res
+            target.used = True
+            index: Expr = Var(target.var)
         else:
-            # flattened-index fallback (cf. _emit_p2p_flat)
-            for c in chain:
-                c.used = True
-            index = Var(chain[0].var)
-            for c in chain[1:]:
-                index = BinOp("+", BinOp("*", index, Num(c.count)),
-                              Var(c.var))
-            values = combined
-        segments: List[Tuple[int, int, object]] = []
-        for k, v in enumerate(values):
-            if segments and segments[-1][2] == v:
-                segments[-1] = (segments[-1][0], k, v)
-            else:
-                segments.append((k, k, v))
-        out: List[Stmt] = []
-        for a, b, (size_v, root_v) in segments:
+            index, _ = _flat_index(chain)
+
+        def emit(value) -> List[Stmt]:
+            size_v, root_v = value
             root_world = None if root_v is None else members[int(root_v)]
-            stmt_list = map_collective(node.op, size_v, root_world, sel,
-                                       members)
-            if a == 0 and b == len(values) - 1:
-                out.extend(stmt_list)
-                continue
-            if a == b:
-                cond: Expr = BinOp("=", index, Num(a))
-            elif a == 0:
-                cond = BinOp("<=", index, Num(b))
-            elif b == len(values) - 1:
-                cond = BinOp(">=", index, Num(a))
-            else:
-                cond = BinOp("/\\", BinOp(">=", index, Num(a)),
-                             BinOp("<=", index, Num(b)))
-            out.append(IfStmt(cond, stmt_list))
-        return out
+            return map_collective(node.op, size_v, root_world, sel, members)
+
+        return _ladder(index, values, emit)

@@ -1,56 +1,40 @@
 """Re-trace a transformed event stream back into compressed form.
 
 Algorithms 1 and 2 conceptually rewrite the trace (unified collective call
-sites; resolved wildcard sources).  We apply their outputs by decompressing
-each rank's stream, substituting, and feeding the result through the same
-on-the-fly compression and radix merge the tracer uses — which is exactly
-the paper's "append an RSD to the output queue, then compress" step and
-preserves its guarantees: one RSD per collective, per-rank event order
-intact, output still compressed.
+sites; resolved wildcard sources).  Both apply their outputs here, by
+decompressing each rank's stream, substituting, and feeding the result
+through the same on-the-fly compression and radix merge the tracer uses —
+which is exactly the paper's "append an RSD to the output queue, then
+compress" step and preserves its guarantees: one RSD per collective,
+per-rank event order intact, output still compressed.
 """
 
 from __future__ import annotations
 
-from typing import Dict
-
 from repro.mpi.hooks import P2P_OPS, WAIT_OPS
-from repro.scalatrace.compress import CompressionQueue
+from repro.scalatrace.compress import CompressionQueue, compress_node_list
 from repro.scalatrace.merge import merge_traces
-from repro.scalatrace.rsd import Trace
+from repro.scalatrace.rsd import Trace, replay_deltas
 from repro.generator.traversal import TraversalResult
 
 
-def rebuild_trace(trace: Trace, result: TraversalResult,
-                  fold_collectives: bool = True) -> Trace:
+def rebuild_trace(trace: Trace, result: TraversalResult) -> Trace:
     """New compressed trace with the traversal's substitutions applied.
 
-    ``fold_collectives=False`` defers all loop folding around collectives
-    to the caller's global recompression pass (Algorithm 1), so that every
-    rank presents its collectives at the same structural positions.
+    Each rank is re-traced without folding loops around collectives,
+    the ranks are merged, and one global pass recompresses the result.
+    Collectives then occupy one structural slot per logical operation on
+    every rank, so the merge unifies them (Algorithm 1), and per-rank
+    streams that would fold differently once their wildcard sources
+    differ cannot split already-aligned collectives (Algorithm 2); the
+    global pass restores the loop structure (§4.3's output-queue
+    compression).
     """
     per_rank = []
     for rank in range(trace.world_size):
-        queue = CompressionQueue(rank, fold_collectives=fold_collectives)
-        replay: Dict[tuple, object] = {}
-
-        def draw(node, kind, hist):
-            it = replay.get((id(node), kind))
-            if it is None:
-                it = hist.replay_values()
-                replay[(id(node), kind)] = it
-            return next(it)
-
-        for ev in trace.iter_rank(rank):
+        queue = CompressionQueue(rank, fold_collectives=False)
+        for ev, delta in replay_deltas(trace.iter_rank(rank)):
             node = ev.node
-            # path-aware timing: loop-entry-first instances draw from the
-            # first-iteration histogram, the rest from the subsequent one
-            period = node.first_period()
-            if period is not None and ev.instance % period == 0:
-                delta = draw(node, "first", node.time_first)
-            elif node.time_rest.count:
-                delta = draw(node, "rest", node.time_rest)
-            else:
-                delta = draw(node, "first", node.time_first)
             key = (id(node), rank, ev.instance)
             callsite = result.callsite_map.get(key, node.callsite)
             peer = result.resolutions.get(key, ev.peer)
@@ -65,4 +49,6 @@ def rebuild_trace(trace: Trace, result: TraversalResult,
                                **kwargs)
         per_rank.append(Trace(trace.world_size, queue.nodes,
                               dict(trace.comm_table)))
-    return merge_traces(per_rank)
+    rebuilt = merge_traces(per_rank)
+    rebuilt.nodes = compress_node_list(rebuilt.nodes)
+    return rebuilt

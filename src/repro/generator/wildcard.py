@@ -20,52 +20,37 @@ from __future__ import annotations
 from repro import obs
 from repro.generator.rebuild import rebuild_trace
 from repro.generator.traversal import TraceScheduler
-from repro.scalatrace.compress import compress_node_list
-from repro.scalatrace.rsd import EventNode, Trace
+from repro.scalatrace.rsd import ParamField, Trace
 from repro.util.expr import ANY_SOURCE
 
 
-def _walk_events(nodes):
-    for n in nodes:
-        if isinstance(n, EventNode):
-            yield n
-        else:
-            yield from _walk_events(n.body)
+def _peer_values(field: ParamField):
+    """Every value a peer field can take, on any rank and instance."""
+    if field.expr is not None:
+        if field.expr.kind == "table":
+            return field.expr.table.values()
+        if field.expr.is_constant():
+            return [field.expr.constant_value()]
+        return []
+    seqs = [field.seq] if field.seq is not None else field.rank_map.values()
+    return [v for seq in seqs for v, _ in seq.runs]
 
 
 def has_wildcards(trace: Trace) -> bool:
     """O(r) pre-check (§4.4): does any receive use MPI_ANY_SOURCE?"""
-    for node in _walk_events(trace.nodes):
-        if node.op not in ("Recv", "Irecv") or node.peer is None:
-            continue
-        field = node.peer
-        if field.seq is not None:
-            if any(v == ANY_SOURCE for v, _ in field.seq.runs):
-                return True
-        elif field.expr is not None:
-            if field.expr.is_constant() and \
-                    field.expr.constant_value() == ANY_SOURCE:
-                return True
-            if field.expr.kind == "table" and \
-                    ANY_SOURCE in field.expr.table.values():
-                return True
-    return False
+    return any(node.op in ("Recv", "Irecv") and node.peer is not None
+               and ANY_SOURCE in _peer_values(node.peer)
+               for node in trace.iter_events())
 
 
-def resolve_wildcards(trace: Trace, force: bool = False) -> Trace:
+def resolve_wildcards(trace: Trace) -> Trace:
     """Return a trace with every wildcard receive bound to a concrete,
     deterministically chosen source.  Raises
     :class:`~repro.errors.TraceDeadlockError` if the trace admits a
     deadlocking execution."""
-    if not force and not has_wildcards(trace):
+    if not has_wildcards(trace):
         return trace
     with obs.span("generator.resolve"):
         result = TraceScheduler(trace, block_p2p=True).run()
         obs.count("generator.wildcards_resolved", len(result.resolutions))
-        # same output-queue discipline as Algorithm 1: resolved per-rank
-        # streams may fold differently across ranks (resolved sources
-        # differ), which would split already-aligned collectives; folding
-        # around collectives is deferred to the global recompression pass
-        rebuilt = rebuild_trace(trace, result, fold_collectives=False)
-        rebuilt.nodes = compress_node_list(rebuilt.nodes)
-        return rebuilt
+        return rebuild_trace(trace, result)

@@ -227,14 +227,15 @@ class AlignStage(Stage):
 
     def run(self, ctx):
         """Apply Algorithm 1 when enabled and the trace needs it."""
-        from repro.generator.align import align_collectives, needs_alignment
+        from repro.generator.align import align_collectives
         trace = ctx.require("trace")
         ctx.artifacts["was_aligned"] = False
         if not ctx.config.align:
             return ("skipped", "disabled")
-        if not needs_alignment(trace):
+        aligned = align_collectives(trace)
+        if aligned is trace:
             return ("skipped", "not needed")
-        ctx.artifacts["trace"] = align_collectives(trace)
+        ctx.artifacts["trace"] = aligned
         ctx.artifacts["was_aligned"] = True
         return "collectives aligned (Algorithm 1)"
 
@@ -251,14 +252,15 @@ class ResolveStage(Stage):
 
     def run(self, ctx):
         """Apply Algorithm 2 when enabled and the trace has wildcards."""
-        from repro.generator.wildcard import has_wildcards, resolve_wildcards
+        from repro.generator.wildcard import resolve_wildcards
         trace = ctx.require("trace")
         ctx.artifacts["was_resolved"] = False
         if not ctx.config.resolve:
             return ("skipped", "disabled")
-        if not has_wildcards(trace):
+        resolved = resolve_wildcards(trace)
+        if resolved is trace:
             return ("skipped", "no wildcards")
-        ctx.artifacts["trace"] = resolve_wildcards(trace)
+        ctx.artifacts["trace"] = resolved
         ctx.artifacts["was_resolved"] = True
         return "wildcards resolved (Algorithm 2)"
 

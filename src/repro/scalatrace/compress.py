@@ -298,9 +298,9 @@ class CompressionQueue:
     """The per-rank trace queue with fixpoint tail compression.
 
     ``fold_collectives=False`` keeps windows containing collective events
-    out of loop folds; Algorithm 1's rebuild uses this so that logical
-    collectives occupy structurally identical positions on every rank
-    before the global (multi-rank) recompression pass runs.
+    out of loop folds; the rebuild after Algorithms 1 and 2 uses this so
+    that logical collectives occupy structurally identical positions on
+    every rank before the global (multi-rank) recompression pass runs.
 
     The queue keeps a rolling fingerprint table alongside ``nodes``:
     ``_prefix[i]`` is the Rabin hash of ``nodes[:i]`` over node

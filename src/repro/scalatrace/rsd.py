@@ -18,7 +18,7 @@ of duplicating nodes.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.errors import TraceError
 from repro.util.expr import ParamExpr
@@ -495,6 +495,11 @@ class Trace:
             raise TraceError(
                 f"rank {world_rank} not in communicator {comm_id}") from None
 
+    def iter_events(self) -> Iterator[EventNode]:
+        """Every RSD in trace order, loop bodies included."""
+        for node in self.nodes:
+            yield from node.iter_events()
+
     def iter_rank(self, rank: int) -> Iterator["ConcreteEvent"]:
         """Decompress this rank's event stream (in program order)."""
         counters: Dict[int, int] = {}
@@ -533,6 +538,30 @@ class ConcreteEvent:
     def __repr__(self) -> str:
         return (f"ConcreteEvent(rank={self.rank}, {self.op}, "
                 f"peer={self.peer}, size={self.size})")
+
+
+def replay_deltas(events: Iterable[ConcreteEvent]
+                  ) -> Iterator[Tuple[ConcreteEvent, float]]:
+    """Pair each event of one rank's stream with the computation delta
+    that precedes it, drawn from the node's timing histograms.
+
+    Path-aware (§3.1): loop-entry-first instances draw from the
+    first-iteration histogram, the rest from the subsequent-iteration
+    one.  Each (node, histogram) pair has one deterministic
+    :meth:`~repro.util.histogram.TimeHistogram.replay_values` iterator,
+    so a full stream reproduces every node's recorded total.
+    """
+    draws: Dict[Tuple[int, bool], Iterator[float]] = {}
+    for ev in events:
+        node = ev.node
+        period = node.first_period()
+        first = ((period is not None and ev.instance % period == 0)
+                 or not node.time_rest.count)
+        it = draws.get((id(node), first))
+        if it is None:
+            hist = node.time_first if first else node.time_rest
+            it = draws[(id(node), first)] = hist.replay_values()
+        yield ev, next(it)
 
 
 def _expand(trace: Trace, nodes: List[Node], rank: int,

@@ -9,13 +9,13 @@ trace-driven twin of the generated benchmark.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Optional
 
 from repro.errors import TraceError
 from repro.mpi.api import ANY_SOURCE, MPIProcess
 from repro.mpi.hooks import WAIT_OPS
 from repro.mpi.world import SpmdResult
-from repro.scalatrace.rsd import Trace
+from repro.scalatrace.rsd import Trace, replay_deltas
 from repro.util.expr import ANY_SOURCE as TRACE_ANY
 
 
@@ -25,13 +25,13 @@ def replay_program(trace: Trace, include_timing: bool = True):
     Communicators are rebuilt by replaying the recorded Comm_split /
     Comm_dup events; trace communicator ids are mapped onto the replayed
     ones by membership.  Computation gaps are reproduced from the per-node
-    timing histograms (deterministic round-robin draws, preserving each
-    node's total recorded time).
+    timing histograms by :func:`~repro.scalatrace.rsd.replay_deltas`
+    (deterministic path-aware draws, preserving each node's total
+    recorded time).
     """
 
     def program(mpi: MPIProcess):
         outstanding = []
-        replay_iters: Dict[int, object] = {}
         # trace comm id -> replayed Communicator, matched by membership
         by_ranks = {tuple(range(trace.world_size)): mpi.comm_world}
 
@@ -44,24 +44,7 @@ def replay_program(trace: Trace, include_timing: bool = True):
                     f"replay reached an event on communicator {comm_id} "
                     f"({ranks}) before replaying its creation") from None
 
-        def draw(node, kind, hist):
-            it = replay_iters.get((id(node), kind))
-            if it is None:
-                it = hist.replay_values()
-                replay_iters[(id(node), kind)] = it
-            return next(it)
-
-        for ev in trace.iter_rank(mpi.rank):
-            node = ev.node
-            # loop-entry-first instances draw from the first-iteration
-            # histogram, the rest from the subsequent-iteration one
-            period = node.first_period()
-            if period is not None and ev.instance % period == 0:
-                delta = draw(node, "first", node.time_first)
-            elif node.time_rest.count:
-                delta = draw(node, "rest", node.time_rest)
-            else:
-                delta = draw(node, "first", node.time_first)
+        for ev, delta in replay_deltas(trace.iter_rank(mpi.rank)):
             if include_timing and delta > 0:
                 yield from mpi.compute(delta)
 

@@ -6,8 +6,10 @@ import pytest
 from repro.errors import TraceDeadlockError
 from repro.generator import (generate_from_application, has_wildcards,
                              resolve_wildcards, trace_application)
-from repro.mpi import ANY_SOURCE
+from repro.mpi import ANY_SOURCE, run_spmd
 from repro.sim import SimpleModel
+from repro.tools import MpiPHook
+from repro.tools.mpip import stats_match
 
 
 def _events(trace, rank, op):
@@ -131,6 +133,34 @@ class TestResolution:
         assert bench.was_resolved
         assert "ANY TASK" not in bench.source
         assert "FROM TASK 1" in bench.source
+
+    def test_wildcards_inside_a_rank_map_peer_are_resolved(self):
+        # each even rank's receive peers vary per rank *and* per
+        # iteration, so the merged peer field is a per-rank map
+        # (M0=-1,1;2=3,-1;...), the one form with no closed expression
+        def app(mpi):
+            r = mpi.rank
+            for i in range(2):
+                if r % 2 == 0:
+                    src = ANY_SOURCE if i == (r // 2) % 2 else r + 1
+                    yield from mpi.recv(source=src)
+                else:
+                    yield from mpi.send(dest=r - 1, nbytes=8)
+            yield from mpi.finalize()
+
+        trace = trace_application(app, 8, model=SimpleModel())
+        (peer,) = [n.peer for loop in trace.nodes
+                   for n in loop.iter_events() if n.op == "Recv"]
+        assert peer.rank_map is not None
+        assert has_wildcards(trace)
+        bench = generate_from_application(app, 8, model=SimpleModel())
+        assert bench.was_resolved
+        assert "ANY TASK" not in bench.source
+        orig, gen = MpiPHook(), MpiPHook()
+        run_spmd(app, 8, model=SimpleModel(), hooks=[orig])
+        bench.program.run(8, model=SimpleModel(), hooks=[gen])
+        ok, diff = stats_match(orig, gen)  # §5.2, per rank
+        assert ok, diff
 
 
 class TestDeadlockDetection:

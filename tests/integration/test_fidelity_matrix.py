@@ -11,12 +11,16 @@ square):
   original's.  Each bound sits just above the value measured when the
   gate was added and never above the worst case EXPERIMENTS.md reports
   (LU at 64 ranks, 4.4%).  Tighten a bound when the generator
-  improves; never loosen one to admit a regression.
+  improves; never loosen one to admit a regression;
+* §4.1's second backend — the same benchmark rendered as Python
+  (:func:`~repro.generator.emit_python`) and exec'd runs to exactly the
+  makespan (``float.hex``) of the lowered coNCePTuaL executor.
 """
 
 import pytest
 
 from repro.apps import PAPER_SUITE, valid_rank_counts
+from repro.generator import emit_python
 from repro.mpi import run_spmd
 from repro.pipeline import (Pipeline, PipelineConfig, RunContext,
                             TraceStage, generation_stages)
@@ -37,8 +41,9 @@ _cells = {}
 
 
 def _cell(app):
-    """(original profile, generated profile, timing error %) of one app,
-    computed once per session."""
+    """(original profile, generated profile, timing error %, generated
+    makespan, Python-backend makespan) of one app, computed once per
+    session."""
     if app not in _cells:
         nranks = valid_rank_counts(app, [8, 9])[0]
         ctx = RunContext(PipelineConfig(app=app, nranks=nranks, cls="S",
@@ -51,8 +56,13 @@ def _cell(app):
         gen, _ = ctx.artifacts["benchmark"].run(
             nranks, model=LogGPModel(), hooks=[gen_prof])
         err = abs(gen.total_time - orig.total_time) / orig.total_time * 100
+        namespace = {}
+        exec(compile(emit_python(ctx.artifacts["benchmark"].ast, nranks),
+                     f"<{app}.py>", "exec"), namespace)
+        py = run_spmd(namespace["benchmark"], nranks, model=LogGPModel())
         _cells[app] = (canonical_profile(orig_prof),
-                       canonical_profile(gen_prof), err)
+                       canonical_profile(gen_prof), err,
+                       gen.total_time.hex(), py.total_time.hex())
     return _cells[app]
 
 
@@ -63,14 +73,21 @@ def test_bounds_cover_the_matrix_and_respect_the_worst_case():
 
 @pytest.mark.parametrize("app", APPS)
 def test_sec52_profiles_match(app):
-    orig, gen, _ = _cell(app)
+    orig, gen = _cell(app)[:2]
     ok, why = profiles_close(orig, gen)
     assert ok, f"{app}: {why}"
 
 
 @pytest.mark.parametrize("app", APPS)
 def test_sec53_timing_error_within_bound(app):
-    _, _, err = _cell(app)
+    err = _cell(app)[2]
     assert err <= ERROR_BOUND_PCT[app], \
         f"{app}: {err:.3f}% timing error (bound {ERROR_BOUND_PCT[app]}%)"
 
+
+
+@pytest.mark.parametrize("app", APPS)
+def test_python_backend_makespan_matches_executor(app):
+    gen_hex, py_hex = _cell(app)[3:]
+    assert py_hex == gen_hex, \
+        f"{app}: Python backend ran {py_hex}, the executor {gen_hex}"
