@@ -11,11 +11,41 @@ per-rank event order intact, output still compressed.
 
 from __future__ import annotations
 
+from typing import List
+
+from repro import obs
 from repro.mpi.hooks import P2P_OPS, WAIT_OPS
 from repro.scalatrace.compress import CompressionQueue, compress_node_list
 from repro.scalatrace.merge import merge_traces
 from repro.scalatrace.rsd import Trace, replay_deltas
 from repro.generator.traversal import TraversalResult
+
+
+def retrace_ranks(trace: Trace, result: TraversalResult) -> List[Trace]:
+    """Every rank's event stream with the traversal's substitutions
+    applied, re-compressed on its own without folding loops around
+    collectives (the input :func:`rebuild_trace` merges)."""
+    per_rank = []
+    with obs.span("generator.retrace", ranks=trace.world_size):
+        for rank in range(trace.world_size):
+            queue = CompressionQueue(rank, fold_collectives=False)
+            for ev, delta in replay_deltas(trace.iter_rank(rank)):
+                node = ev.node
+                key = (id(node), rank, ev.instance)
+                callsite = result.callsite_map.get(key, node.callsite)
+                peer = result.resolutions.get(key, ev.peer)
+                kwargs = {}
+                if ev.op in P2P_OPS:
+                    kwargs.update(peer=peer, size=ev.size, tag=ev.tag)
+                elif ev.op in WAIT_OPS:
+                    kwargs.update(wait_offsets=ev.wait_offsets)
+                else:
+                    kwargs.update(size=ev.size, root=ev.root)
+                queue.append_event(ev.op, callsite, ev.comm_id,
+                                   delta_t=delta, **kwargs)
+            per_rank.append(Trace(trace.world_size, queue.nodes,
+                                  dict(trace.comm_table)))
+    return per_rank
 
 
 def rebuild_trace(trace: Trace, result: TraversalResult) -> Trace:
@@ -30,25 +60,6 @@ def rebuild_trace(trace: Trace, result: TraversalResult) -> Trace:
     global pass restores the loop structure (§4.3's output-queue
     compression).
     """
-    per_rank = []
-    for rank in range(trace.world_size):
-        queue = CompressionQueue(rank, fold_collectives=False)
-        for ev, delta in replay_deltas(trace.iter_rank(rank)):
-            node = ev.node
-            key = (id(node), rank, ev.instance)
-            callsite = result.callsite_map.get(key, node.callsite)
-            peer = result.resolutions.get(key, ev.peer)
-            kwargs = {}
-            if ev.op in P2P_OPS:
-                kwargs.update(peer=peer, size=ev.size, tag=ev.tag)
-            elif ev.op in WAIT_OPS:
-                kwargs.update(wait_offsets=ev.wait_offsets)
-            else:
-                kwargs.update(size=ev.size, root=ev.root)
-            queue.append_event(ev.op, callsite, ev.comm_id, delta_t=delta,
-                               **kwargs)
-        per_rank.append(Trace(trace.world_size, queue.nodes,
-                              dict(trace.comm_table)))
-    rebuilt = merge_traces(per_rank)
+    rebuilt = merge_traces(retrace_ranks(trace, result))
     rebuilt.nodes = compress_node_list(rebuilt.nodes)
     return rebuilt

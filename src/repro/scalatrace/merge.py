@@ -3,7 +3,7 @@
 At MPI_Finalize time ScalaTrace combines the per-rank compressed traces
 into one global trace whose RSDs carry rank *sets* (§3.1).  We reproduce
 that with a binary merge tree: traces are merged pairwise, aligning the
-two node sequences with an LCS over structural signatures.
+two node sequences with a weighted LCS over mergeable nodes.
 
 Nodes that align merge by unioning their rank sets and re-expressing
 parameter differences as closed-form :class:`~repro.util.expr.ParamExpr`
@@ -13,16 +13,20 @@ are interleaved in an order preserving both inputs' program orders, each
 keeping its own rank set (this is how e.g. "rank 0 sends, ranks 1..N-1
 receive" coexists inside one merged loop body).
 
-Two throughput mechanisms sit on top of the pairwise LCS merge:
+A pair merge first **plans** on interned structure ids (an event's id
+stands for its signature, instance count and parameter presence, a
+loop's for its count and children's ids, so equal ids mean identical
+structure): events merge iff their ids are equal (``merge_ranks`` never
+fails), loops iff their counts are equal and their bodies align on at
+least one pair, and a loop pair's plan is memoized on its id pair.  It
+then **builds** merged nodes only along the chosen alignment.  On top:
 
 * an **identical-sequence fast path** — in the common SPMD case every
-  rank records the same call structure, so the pairwise merge is gated
-  by a rolling Rabin hash over rank-agnostic node fingerprints
-  (:attr:`~repro.scalatrace.rsd.Node.mfp`) and, once structural identity
-  is confirmed exactly, spliced position-by-position without running the
-  O(n·m) LCS DP.  The splice is only taken when the diagonal alignment
-  is *provably* what the DP would pick (see :func:`_diagonal_safe`), so
-  output bytes never depend on which path ran;
+  rank records the same call structure, so equal id sequences align
+  diagonally without the O(n·m) LCS DP.  It is only taken when the
+  diagonal is *provably* what the DP would pick (see
+  :func:`_diagonal_safe`), so output bytes never depend on which path
+  ran;
 * a **streaming accumulator** (:class:`TraceMergeAccumulator`) — a
   binomial binary counter over per-rank node lists that keeps at most
   ``log2(P)+1`` partial merges live while producing the exact same merge
@@ -36,6 +40,7 @@ from __future__ import annotations
 from typing import Dict, List, Optional, Tuple
 
 from repro import obs
+from repro.mpi.hooks import COLLECTIVE_OPS
 from repro.scalatrace.rsd import EventNode, LoopNode, Node, Trace
 from repro.util.rankset import RankSet
 
@@ -58,104 +63,6 @@ def set_merge_fastpath(enabled: bool) -> bool:
     prev = _FASTPATH
     _FASTPATH = bool(enabled)
     return prev
-
-
-def _try_merge_nodes(a: Node, b: Node,
-                     comm_table: Dict[int, Tuple[int, ...]]) -> Optional[Node]:
-    """Merged node covering both rank sets, or None if incompatible."""
-    if isinstance(a, EventNode) and isinstance(b, EventNode):
-        if a.signature() != b.signature() or a.instances != b.instances:
-            return None
-        comm_ranks = comm_table.get(a.comm_id)
-        comm_size = len(comm_ranks) if comm_ranks else None
-        index = {w: i for i, w in enumerate(comm_ranks)} if comm_ranks else {}
-        a_cranks = [index.get(r, r) for r in a.ranks]
-        b_cranks = [index.get(r, r) for r in b.ranks]
-        merged = {}
-        for name in _PARAM_FIELDS:
-            fa, fb = getattr(a, name), getattr(b, name)
-            if (fa is None) != (fb is None):
-                return None
-            if fa is None:
-                merged[name] = None
-                continue
-            # merge in communicator-rank space (peers are comm-relative);
-            # always succeeds (irregular variation falls back to the
-            # lossless per-rank map)
-            merged[name] = fa.merge_ranks(RankSet(a_cranks), fb,
-                                          RankSet(b_cranks), comm_size)
-        time_first = a.time_first.copy()
-        time_first.merge(b.time_first)
-        time_rest = a.time_rest.copy()
-        time_rest.merge(b.time_rest)
-        return EventNode(a.op, a.callsite, a.comm_id, a.ranks | b.ranks,
-                         a.instances, merged["peer"], merged["size"],
-                         merged["tag"], merged["root"], a.wait_offsets,
-                         time_first, time_rest)
-    if isinstance(a, LoopNode) and isinstance(b, LoopNode):
-        if a.count != b.count:
-            return None
-        # bodies merge as an order-preserving supersequence: nodes present
-        # on only one side keep their own rank sets (this is how "rank 0
-        # sends, interior ranks receive then send" coexists in one loop).
-        # Require at least one genuinely shared node, though — otherwise
-        # any two equal-count loops would merge, and those spurious
-        # matches displace collective alignment in the outer LCS.
-        body = merge_node_lists(a.body, b.body, comm_table)
-        if len(body) == len(a.body) + len(b.body):
-            return None
-        return LoopNode(a.count, body, a.ranks | b.ranks)
-    return None
-
-
-def _match_weight(node: Node) -> int:
-    """Alignment priority of a successful match.
-
-    Collectives dominate: when matching a point-to-point pair conflicts in
-    order with matching a collective pair, the collective must win — this
-    is how the merge realizes Algorithm 1's guarantee that one logical
-    collective becomes one RSD.  Loops inherit the weight of their
-    contents (they may carry collectives inside)."""
-    if isinstance(node, EventNode):
-        from repro.mpi.hooks import COLLECTIVE_OPS
-        return 10_000 if node.op in COLLECTIVE_OPS else 1
-    return sum(_match_weight(n) for n in node.body)
-
-
-def _seq_mfp(nodes: List[Node]) -> int:
-    """Rolling Rabin hash of a node sequence's rank-agnostic merge
-    fingerprints (same field as the compressor's window hashes)."""
-    from repro.scalatrace.rsd import FP_BASE, FP_MOD
-    h = 0
-    for n in nodes:
-        h = (h * FP_BASE + n.mfp) % FP_MOD
-    return h
-
-
-def _identical_structure(a: Node, b: Node) -> bool:
-    """Exact structural identity as the merge fast path requires it.
-
-    For events this is precisely the precondition under which
-    :func:`_try_merge_nodes` succeeds unconditionally (``merge_ranks``
-    never fails): same signature, same instance count, same parameter
-    presence pattern.  For loops: same count, same body length, and
-    pairwise identical bodies.  Fingerprints got us here cheaply; this
-    walk is what makes the fast path collision-proof."""
-    if isinstance(a, EventNode):
-        return (isinstance(b, EventNode)
-                and a.sig == b.sig
-                and a.instances == b.instances
-                and (a.peer is None) == (b.peer is None)
-                and (a.size is None) == (b.size is None)
-                and (a.tag is None) == (b.tag is None)
-                and (a.root is None) == (b.root is None))
-    if not isinstance(b, LoopNode):
-        return False
-    assert isinstance(a, LoopNode)
-    return (a.count == b.count
-            and len(a.body) == len(b.body)
-            and all(_identical_structure(x, y)
-                    for x, y in zip(a.body, b.body)))
 
 
 def _event_keys(node: Node) -> set:
@@ -204,89 +111,185 @@ def _diagonal_safe(nodes: List[Node]) -> bool:
     return True
 
 
-def _splice_identical(xs: List[Node], ys: List[Node],
-                      comm_table) -> Optional[List[Node]]:
-    """Position-wise merge of structurally identical sequences; None if
-    any pair refuses (cannot happen per `_identical_structure`'s
-    contract, kept as a defensive fallback to the DP)."""
-    out: List[Node] = []
-    for x, y in zip(xs, ys):
-        merged = _try_merge_nodes(x, y, comm_table)
-        if merged is None:
+class _PairMerge:
+    """Interned structure ids, memoized plans and the builder of one
+    top-level :func:`merge_node_lists` call.  Ids are keyed on
+    ``id(node)``, which a dropped accumulator partial can hand on to a
+    new node, so an instance must never outlive its call."""
+
+    def __init__(self, comm_table: Dict[int, Tuple[int, ...]]):
+        self.comm_table = comm_table
+        self._sid: Dict[int, int] = {}
+        self._interned: Dict[tuple, int] = {}
+        #: structure id -> weight of a node with that structure
+        self._weight: List[int] = []
+        #: (loop id, loop id) -> (merged weight, body pairs), or None
+        self._plans: Dict[Tuple[int, int], Optional[tuple]] = {}
+        #: comm id -> (world → comm rank map, None for the identity;
+        #: comm size)
+        self._comms: Dict[int, tuple] = {}
+        self.built = 0
+
+    def sid(self, node: Node) -> int:
+        """Interned structure id; equal ids mean identical structure."""
+        s = self._sid.get(id(node))
+        if s is None:
+            if isinstance(node, EventNode):
+                key = (node.sig, node.instances, node.peer is None,
+                       node.size is None, node.tag is None,
+                       node.root is None)
+                # Collectives dominate: when matching a point-to-point
+                # pair conflicts in order with matching a collective
+                # pair, the collective must win — this is how the merge
+                # realizes Algorithm 1's guarantee that one logical
+                # collective becomes one RSD.
+                weight = 10_000 if node.op in COLLECTIVE_OPS else 1
+            else:
+                body = tuple([self.sid(n) for n in node.body])
+                key = (node.count, body)
+                # loops inherit the weight of their contents
+                weight = sum(self._weight[c] for c in body)
+            s = self._interned.get(key)
+            if s is None:
+                s = self._interned[key] = len(self._weight)
+                self._weight.append(weight)
+            self._sid[id(node)] = s
+        return s
+
+    def weight(self, a: Node, b: Node) -> Optional[int]:
+        """Weight of the node merging ``a`` and ``b`` would make, or
+        None when they do not merge."""
+        sa, sb = self.sid(a), self.sid(b)
+        if isinstance(a, EventNode):
+            # merge_ranks never fails: identical structure is the test
+            return self._weight[sa] if sa == sb else None
+        if not isinstance(b, LoopNode) or a.count != b.count:
             return None
-        out.append(merged)
-    return out
+        if (sa, sb) not in self._plans:
+            # bodies merge as an order-preserving supersequence: nodes
+            # present on only one side keep their own rank sets (this is
+            # how "rank 0 sends, interior ranks receive then send"
+            # coexists in one loop).  Require at least one genuinely
+            # shared node, though — otherwise any two equal-count loops
+            # would merge, and those spurious matches displace
+            # collective alignment in the outer LCS.
+            pairs = self.align(a.body, b.body)
+            plan = None
+            if pairs:
+                # the merged body is both bodies with each matched
+                # couple replaced by its merged node
+                plan = (self._weight[sa] + self._weight[sb] + sum(
+                    w - self._weight[self.sid(a.body[i])]
+                    - self._weight[self.sid(b.body[j])]
+                    for i, j, w in pairs), pairs)
+            self._plans[(sa, sb)] = plan
+        plan = self._plans[(sa, sb)]
+        return None if plan is None else plan[0]
 
+    def align(self, xs: List[Node], ys: List[Node]) -> List[tuple]:
+        """(i, j, merged weight) of each pair the maximum-weight
+        alignment matches.
 
-def _lcs_pairs(xs: List[Node], ys: List[Node],
-               comm_table) -> List[Tuple[int, int, Node]]:
-    """Maximum-weight common subsequence of mergeable nodes; returns
-    matched index pairs with their pre-computed merged node."""
-    n, m = len(xs), len(ys)
-    obs.count("scalatrace.lcs_cells", n * m)
-    merged_cache: Dict[Tuple[int, int], Optional[Node]] = {}
+        Identical-sequence fast path: equal id sequences align
+        diagonally, skipping the O(n·m) DP.  Gated by
+        :func:`_diagonal_safe` so the diagonal is what the DP's
+        traceback would produce; any doubt falls through to the DP."""
+        if _FASTPATH and xs \
+                and [self.sid(x) for x in xs] == [self.sid(y) for y in ys] \
+                and _diagonal_safe(xs):
+            pairs = [(i, i, self.weight(x, y))
+                     for i, (x, y) in enumerate(zip(xs, ys))]
+            if all(w is not None for _, _, w in pairs):
+                obs.count("scalatrace.merge_fastpath_hits", 1)
+                return pairs
+        n, m = len(xs), len(ys)
+        obs.count("scalatrace.lcs_cells", n * m)
+        weights = [[self.weight(x, y) for y in ys] for x in xs]
+        dp = [[0] * (m + 1) for _ in range(n + 1)]
+        for i in range(n - 1, -1, -1):
+            row, below, wrow = dp[i], dp[i + 1], weights[i]
+            for j in range(m - 1, -1, -1):
+                best = max(below[j], row[j + 1])
+                if wrow[j] is not None:
+                    best = max(best, below[j + 1] + wrow[j])
+                row[j] = best
+        pairs = []
+        i = j = 0
+        while i < n and j < m:
+            w = weights[i][j]
+            if w is not None and dp[i][j] == dp[i + 1][j + 1] + w:
+                pairs.append((i, j, w))
+                i += 1
+                j += 1
+            elif dp[i + 1][j] >= dp[i][j + 1]:
+                i += 1
+            else:
+                j += 1
+        obs.count("scalatrace.lcs_alignments", len(pairs))
+        return pairs
 
-    def mergeable(i, j):
-        key = (i, j)
-        if key not in merged_cache:
-            merged_cache[key] = _try_merge_nodes(xs[i], ys[j], comm_table)
-        return merged_cache[key]
+    def weave(self, xs: List[Node], ys: List[Node],
+              pairs: List[tuple]) -> List[Node]:
+        """Shortest common supersequence around ``pairs``, building a
+        merged node for each pair."""
+        out: List[Node] = []
+        xi = yi = 0
+        for i, j, _ in pairs:
+            out.extend(xs[xi:i])
+            out.extend(ys[yi:j])
+            out.append(self.build(xs[i], ys[j]))
+            xi, yi = i + 1, j + 1
+        out.extend(xs[xi:])
+        out.extend(ys[yi:])
+        return out
 
-    # weighted LCS DP
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n - 1, -1, -1):
-        for j in range(m - 1, -1, -1):
-            best = max(dp[i + 1][j], dp[i][j + 1])
-            node = mergeable(i, j)
-            if node is not None:
-                best = max(best, dp[i + 1][j + 1] + _match_weight(node))
-            dp[i][j] = best
-    pairs = []
-    i = j = 0
-    while i < n and j < m:
-        node = mergeable(i, j)
-        if node is not None and \
-                dp[i][j] == dp[i + 1][j + 1] + _match_weight(node):
-            pairs.append((i, j, node))
-            i += 1
-            j += 1
-        elif dp[i + 1][j] >= dp[i][j + 1]:
-            i += 1
+    def build(self, a: Node, b: Node) -> Node:
+        """The merged node of a planned pair."""
+        self.built += 1
+        if isinstance(a, LoopNode):
+            _, pairs = self._plans[(self.sid(a), self.sid(b))]
+            return LoopNode(a.count, self.weave(a.body, b.body, pairs),
+                            a.ranks | b.ranks)
+        hit = self._comms.get(a.comm_id)
+        if hit is None:
+            ranks = self.comm_table.get(a.comm_id) or ()
+            identity = all(w == i for i, w in enumerate(ranks))
+            hit = self._comms[a.comm_id] = (
+                None if identity else {w: i for i, w in enumerate(ranks)},
+                len(ranks) or None)
+        index, comm_size = hit
+        if index is None:
+            a_cranks, b_cranks = a.ranks, b.ranks
         else:
-            j += 1
-    obs.count("scalatrace.lcs_alignments", len(pairs))
-    return pairs
+            a_cranks = RankSet([index.get(r, r) for r in a.ranks])
+            b_cranks = RankSet([index.get(r, r) for r in b.ranks])
+        merged = {}
+        for name in _PARAM_FIELDS:
+            fa = getattr(a, name)
+            # merge in communicator-rank space (peers are comm-relative);
+            # always succeeds (irregular variation falls back to the
+            # lossless per-rank map)
+            merged[name] = None if fa is None else fa.merge_ranks(
+                a_cranks, getattr(b, name), b_cranks, comm_size)
+        time_first = a.time_first.copy()
+        time_first.merge(b.time_first)
+        time_rest = a.time_rest.copy()
+        time_rest.merge(b.time_rest)
+        return EventNode(a.op, a.callsite, a.comm_id, a.ranks | b.ranks,
+                         a.instances, merged["peer"], merged["size"],
+                         merged["tag"], merged["root"], a.wait_offsets,
+                         time_first, time_rest)
 
 
 def merge_node_lists(xs: List[Node], ys: List[Node],
                      comm_table) -> List[Node]:
     """Order-preserving merge (shortest common supersequence around the
-    LCS of mergeable nodes).
-
-    Identical-sequence fast path: when both sides have the same length
-    and the same rolling merge fingerprint, an exact structural walk
-    confirms pairwise identity and the sequences are spliced
-    position-by-position, skipping the O(n·m) DP.  Gated further by
-    :func:`_diagonal_safe` so the splice is byte-identical to what the
-    DP's traceback would produce; any doubt falls through to the DP."""
-    if _FASTPATH and xs and len(xs) == len(ys) \
-            and _seq_mfp(xs) == _seq_mfp(ys) \
-            and all(_identical_structure(x, y) for x, y in zip(xs, ys)) \
-            and _diagonal_safe(xs):
-        out = _splice_identical(xs, ys, comm_table)
-        if out is not None:
-            obs.count("scalatrace.merge_fastpath_hits", 1)
-            return out
-    pairs = _lcs_pairs(xs, ys, comm_table)
-    out: List[Node] = []
-    xi = yi = 0
-    for i, j, merged in pairs:
-        out.extend(xs[xi:i])
-        out.extend(ys[yi:j])
-        out.append(merged)
-        xi, yi = i + 1, j + 1
-    out.extend(xs[xi:])
-    out.extend(ys[yi:])
+    maximum-weight alignment of mergeable nodes): plan the alignment on
+    structure ids, then build merged nodes along it."""
+    merge = _PairMerge(comm_table)
+    out = merge.weave(xs, ys, merge.align(xs, ys))
+    if merge.built:
+        obs.count("scalatrace.merge_nodes_built", merge.built)
     return out
 
 
